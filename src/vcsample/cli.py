@@ -9,8 +9,8 @@ Subcommands:
   calibrate   search for the smallest workable leading constant
 
 Exit codes: 0 success (for verify: the property holds), 1 verify found a
-violation, 2 bad parameters or failed calibration, 3 enumeration budget
-exceeded.
+violation, 2 bad parameters, malformed config or sample files, or failed
+calibration, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -20,36 +20,18 @@ import json
 import sys
 from typing import Any
 
-import numpy as np
-
 from .errors import BudgetExceededError, CalibrationError, ParameterError
-from .estimator import GUARANTEES, estimate_count
-from .harness import (
-    ExperimentConfig,
-    calibrate_constant,
-    canonical_property,
-    run_experiment,
-    sample_size_for,
-)
+from .estimator import GUARANTEE_PARAMS, GUARANTEES, estimate_count
+from .harness import ExperimentConfig, calibrate_constant, run_experiment, sample_size_for
 from .ranges import read_points_csv
-from .sampling import draw_sample, read_sample_json, write_sample_json
-from .verify import (
-    verify_eps_approx,
-    verify_eps_net,
-    verify_relative,
-    verify_relative_sensitive,
-    verify_sensitive,
-)
+from .sampling import _load_sample_json, draw_sample, read_sample_json, write_sample_json
+from .verify import _SPELLINGS, verify_property
 
 __all__ = ["main"]
 
-_PROPERTY_CHOICES = ("net", "approx", "sensitive", "relative", "relative-sensitive")
-
 
 def _cmd_size(args: argparse.Namespace) -> int:
-    prop = canonical_property(args.property)
-    m = sample_size_for(prop, args.d, args.eps, args.p, args.delta, args.C)
-    print(m)
+    print(sample_size_for(args.property, args.d, args.eps, args.p, args.delta, args.C))
     return 0
 
 
@@ -62,24 +44,11 @@ def _cmd_draw(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    prop = canonical_property(args.property)
     X = read_points_csv(args.points)
     N = read_sample_json(args.sample)
     if args.eps is None:
         raise ParameterError(f"verify --property {args.property} needs --eps")
-    if prop in ("relative", "relative_sensitive"):
-        if args.p is None:
-            raise ParameterError(f"verify --property {args.property} needs --p")
-        if prop == "relative":
-            report = verify_relative(X, N, args.p, args.eps, args.family)
-        else:
-            report = verify_relative_sensitive(X, N, args.p, args.eps, args.family)
-    elif prop == "eps_net":
-        report = verify_eps_net(X, N, args.eps, args.family)
-    elif prop == "eps_approx":
-        report = verify_eps_approx(X, N, args.eps, args.family)
-    else:
-        report = verify_sensitive(X, N, args.eps, args.family)
+    report = verify_property(args.property, X, N, args.eps, args.p, args.family)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 
@@ -99,35 +68,34 @@ def _parse_guarantee(spec: str) -> dict[str, Any]:
         values = [float(x) for x in parts[1:]]
     except ValueError:
         raise ParameterError(f"malformed guarantee string {spec!r}") from None
-    out: dict[str, Any] = {"guarantee": name}
-    want = {"approx": ["eps", "delta"], "sensitive": ["eps", "delta"],
-            "relative": ["eps", "p", "delta"], "none": []}[name]
-    required = {"approx": 1, "sensitive": 1, "relative": 2, "none": 0}[name]
-    if not (required <= len(values) <= len(want)):
+    required, optional = GUARANTEE_PARAMS[name]
+    if not (len(required) <= len(values) <= len(required) + len(optional)):
         raise ParameterError(
             f"guarantee {name!r} takes {spec!r} as "
-            f"{name}{''.join(':' + w.upper() for w in want[:required])}"
-            f"{''.join('[:' + w.upper() + ']' for w in want[required:])}"
+            f"{name}{''.join(':' + w.upper() for w in required)}"
+            f"{''.join('[:' + w.upper() + ']' for w in optional)}"
         )
-    out.update(zip(want, values))
-    return out
+    return {"guarantee": name, **dict(zip(required + optional, values))}
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    with open(args.sample, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "points" not in doc:
+    N, coords = _load_sample_json(args.sample)
+    if coords is None:
         raise ParameterError(
             f"{args.sample}: no embedded coordinates; draw the sample with "
             "the CLI (or write_sample_json with the ground set) first"
         )
-    coords = np.asarray(doc["points"], dtype=np.float64)
+    if args.points_size not in (None, N.ground_size):
+        raise ParameterError(
+            f"--points-size {args.points_size} disagrees with the sample's "
+            f"n_points {N.ground_size}"
+        )
     try:
         params = tuple(float(x) for x in args.range.split(","))
     except ValueError:
         raise ParameterError(f"malformed --range {args.range!r}") from None
     kwargs = _parse_guarantee(args.guarantee)
-    est = estimate_count(params, coords, args.points_size, fam=args.family, **kwargs)
+    est = estimate_count(params, coords, N.ground_size, fam=args.family, **kwargs)
     print(json.dumps(est.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -162,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("size", help="sample-size calculators")
-    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
+    p.add_argument("--property", required=True, choices=list(_SPELLINGS))
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--d", type=int, required=True, help="VC dimension")
@@ -178,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_draw)
 
     p = sub.add_parser("verify", help="exhaustively verify a guarantee")
-    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
+    p.add_argument("--property", required=True, choices=list(_SPELLINGS))
     p.add_argument("--points", required=True)
     p.add_argument("--sample", required=True)
     p.add_argument("--family", required=True)
@@ -187,8 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("query", help="approximate count for one range")
-    p.add_argument("--points-size", type=int, required=True,
-                   help="|X|, the ground set size behind the sample")
+    p.add_argument("--points-size", type=int, default=None,
+                   help="|X|, the ground set size behind the sample "
+                   "(default and only accepted value: the file's n_points)")
     p.add_argument("--sample", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--range", required=True,
@@ -215,15 +184,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, CalibrationError, ParameterError,
+            json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceededError) else 2
 
 
 if __name__ == "__main__":

@@ -16,13 +16,21 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError
-from .ranges import GroundSet, RangeFamily, _check_params, _contains_many
+from .ranges import GroundSet, RangeFamily, _check_params
 from .sampling import Sample, _check_unit
 from .verify import _resolve_family
 
-__all__ = ["CountEstimate", "estimate_count", "GUARANTEES"]
+__all__ = ["CountEstimate", "estimate_count", "GUARANTEES", "GUARANTEE_PARAMS"]
 
-GUARANTEES = ("approx", "relative", "sensitive", "none")
+# guarantee -> (required, optional) parameters, in the order the CLI's
+# name[:eps[:p][:delta]] strings give them
+GUARANTEE_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "approx": (("eps",), ("delta",)),
+    "relative": (("eps", "p"), ("delta",)),
+    "sensitive": (("eps",), ("delta",)),
+    "none": ((), ()),
+}
+GUARANTEES = tuple(GUARANTEE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -71,12 +79,6 @@ class CountEstimate:
                 "heuristic: observed fraction plugged in for the true weight"
             )
         return doc
-
-
-def _require(name: str, value: float | None, guarantee: str) -> float:
-    if value is None:
-        raise ParameterError(f"guarantee {guarantee!r} needs {name}")
-    return _check_unit(name, value)
 
 
 def _sample_coords(N, X: GroundSet | None) -> np.ndarray:
@@ -136,20 +138,22 @@ def estimate_count(
         )
     Q = _check_params(fam, Q)
     m = coords.shape[0]
-    s = int(_contains_many(fam, Q, coords).sum()) / m
+    s = int(fam.contains_many(Q, coords).sum()) / m
     estimate = s * X_size
 
+    given = {"eps": eps, "p": p}
+    for name in GUARANTEE_PARAMS[guarantee][0]:
+        if given[name] is None:
+            raise ParameterError(f"guarantee {guarantee!r} needs {name}")
+        given[name] = _check_unit(name, given[name])
+    eps, p = given["eps"], given["p"]
     relative_bound: float | None = None
     if guarantee == "approx":
-        eps = _require("eps", eps, guarantee)
         additive = eps * X_size
     elif guarantee == "relative":
-        eps = _require("eps", eps, guarantee)
-        p = _require("p", p, guarantee)
         additive = (1.0 + eps) * p * X_size
         relative_bound = eps
     elif guarantee == "sensitive":
-        eps = _require("eps", eps, guarantee)
         additive = (eps / 2.0) * (math.sqrt(s) + 2.0 * eps) * X_size
         relative_bound = additive / estimate if estimate > 0.0 else math.inf
     else:

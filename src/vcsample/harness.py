@@ -6,7 +6,8 @@ sample size from the calculators, then repeatedly draws and verifies.
 Everything is deterministic: ground-set generation uses the rng stream
 [seed, 0], trial t of cell c uses integer seed (seed + c*10**6 + t), and
 the JSON payload carries no wall-clock fields, so a rerun of the same
-config is byte-identical. Wall times go to the CSV only.
+config is byte-identical. Wall times go to the CSV only. Trials per cell
+stay below 10**6 so no two trials share a seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -33,22 +34,13 @@ from .ranges import (
 )
 from .sampling import (
     Sample,
+    _check_schema_version,
     _check_unit,
+    _is_int,
     draw_sample,
     size_eps_approx,
-    size_eps_net,
-    size_relative,
-    size_sensitive,
 )
-from .verify import (
-    PROPERTIES,
-    VerificationReport,
-    verify_eps_approx,
-    verify_eps_net,
-    verify_relative,
-    verify_relative_sensitive,
-    verify_sensitive,
-)
+from .verify import PROPERTIES, canonical_property, verify_property
 
 __all__ = [
     "CONFIG_SCHEMA_VERSION",
@@ -71,26 +63,23 @@ RESULT_SCHEMA_VERSION = 1
 SOURCE_KINDS = ("file", "uniform", "clusters", "grid")
 _N_CLUSTERS = 5
 _CLUSTER_SIGMA = 0.02
-
-# CLI spellings on the left, canonical property names on the right.
-_PROPERTY_ALIASES = {
-    "net": "eps_net",
-    "eps-net": "eps_net",
-    "approx": "eps_approx",
-    "eps-approx": "eps_approx",
-    "relative-sensitive": "relative_sensitive",
-}
-
-_NEEDS_P = ("relative", "relative_sensitive")
+# trial seeds per grid cell; more trials than this would reuse seeds
+_SEEDS_PER_CELL = 10**6
 
 
-def canonical_property(name: str) -> str:
-    prop = _PROPERTY_ALIASES.get(name, name)
-    if prop not in PROPERTIES:
-        raise ParameterError(
-            f"unknown property {name!r}; choose from {sorted(set(PROPERTIES) | set(_PROPERTY_ALIASES))}"
-        )
-    return prop
+def _is_real(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _unit_grid(name: str, values: Any) -> tuple[float, ...]:
+    """A grid of numbers in (0, 1), as floats."""
+    try:
+        ok = not isinstance(values, (str, bytes)) and all(_is_real(v) for v in values)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"{name} grid must be a list of numbers, got {values!r}")
+    return tuple(_check_unit(name, v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -107,9 +96,9 @@ class SourceSpec:
                 f"unknown source kind {self.kind!r}; choose from {SOURCE_KINDS}"
             )
         if self.kind == "file":
-            if not self.path:
-                raise ParameterError("file source needs a path")
-        elif not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            if not (isinstance(self.path, str) and self.path):
+                raise ParameterError(f"file source needs a path, got {self.path!r}")
+        elif not (_is_int(self.n) and self.n >= 1):
             raise ParameterError(f"{self.kind} source needs n >= 1, got {self.n!r}")
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -137,27 +126,29 @@ class ExperimentConfig:
     def __post_init__(self):
         family_by_name(self.family)
         object.__setattr__(self, "property", canonical_property(self.property))
-        object.__setattr__(
-            self, "eps_values", tuple(float(e) for e in self.eps_values)
-        )
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
+        object.__setattr__(self, "eps_values", _unit_grid("eps", self.eps_values))
+        object.__setattr__(self, "p_values", _unit_grid("p", self.p_values))
         if not self.eps_values:
             raise ParameterError("eps grid must be non-empty")
-        for e in self.eps_values:
-            _check_unit("eps", e)
-        for p in self.p_values:
-            _check_unit("p", p)
-        if self.property in _NEEDS_P and not self.p_values:
+        if PROPERTIES[self.property].needs_p and not self.p_values:
             raise ParameterError(f"{self.property} needs a non-empty p grid")
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ParameterError(f"trials must be >= 1, got {self.trials!r}")
+        if not (_is_int(self.trials) and 1 <= self.trials < _SEEDS_PER_CELL):
+            raise ParameterError(
+                f"trials must lie in [1, {_SEEDS_PER_CELL}), got {self.trials!r}"
+            )
+        if not _is_real(self.delta):
+            raise ParameterError(f"delta must be a number, got {self.delta!r}")
         _check_unit("delta", self.delta)
-        if not (self.C > 0.0 and math.isfinite(self.C)):
+        if not (_is_real(self.C) and self.C > 0.0 and math.isfinite(self.C)):
             raise ParameterError(f"C must be positive, got {self.C!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.take_all, bool):
+            raise ParameterError(f"take_all must be true or false, got {self.take_all!r}")
 
     def cells(self) -> list[tuple[float, float | None]]:
         """(eps, p) pairs in grid order; p is None for p-free properties."""
-        if self.property in _NEEDS_P:
+        if PROPERTIES[self.property].needs_p:
             return [(e, p) for e, p in product(self.eps_values, self.p_values)]
         return [(e, None) for e in self.eps_values]
 
@@ -180,14 +171,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict[str, Any]) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ParameterError(f"config must be a JSON object, got {type(doc).__name__}")
+        _check_schema_version(doc, CONFIG_SCHEMA_VERSION, "config")
         try:
             grid = doc.get("grid", {})
             return cls(
                 family=doc["family"],
                 property=doc["property"],
                 source=SourceSpec(**doc["source"]),
-                eps_values=tuple(grid["eps"]),
-                p_values=tuple(grid.get("p", ())),
+                eps_values=grid["eps"],
+                p_values=grid.get("p", ()),
                 delta=grid.get("delta", 0.25),
                 trials=doc.get("trials", 100),
                 C=doc.get("C", 1.0),
@@ -232,41 +226,14 @@ def generate_ground_set(source: SourceSpec, dim: int, seed: int) -> GroundSet:
 def sample_size_for(
     prop: str, d: int, eps: float, p: float | None, delta: float, C: float
 ) -> int:
-    prop = canonical_property(prop)
-    if prop == "eps_net":
-        return size_eps_net(eps, d, delta, C)
-    if prop == "eps_approx":
-        return size_eps_approx(eps, d, delta, C)
-    if prop == "sensitive":
-        return size_sensitive(eps, d, delta, C)
-    if p is None:
-        raise ParameterError(f"{prop} needs p")
-    # one sample size serves every level of the relative-sensitive ladder
-    return size_relative(p, eps, d, delta, C)
-
-
-def _verify_one(
-    prop: str,
-    X: GroundSet,
-    N: Sample,
-    eps: float,
-    p: float | None,
-    fam_name: str,
-    engine: InducedRangeSet,
-) -> VerificationReport:
-    if prop == "eps_net":
-        return verify_eps_net(X, N, eps, fam_name, ranges=engine)
-    if prop == "eps_approx":
-        return verify_eps_approx(X, N, eps, fam_name, ranges=engine)
-    if prop == "sensitive":
-        return verify_sensitive(X, N, eps, fam_name, ranges=engine)
-    if prop == "relative":
-        return verify_relative(X, N, p, eps, fam_name, ranges=engine)
-    return verify_relative_sensitive(X, N, p, eps, fam_name, ranges=engine)
+    prop = PROPERTIES[canonical_property(prop)]
+    if prop.needs_p and p is None:
+        raise ParameterError(f"{prop.name} needs p")
+    return prop.size(d, eps, p, delta, C)
 
 
 def trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
-    return base_seed + cell_index * 10**6 + trial_index
+    return base_seed + cell_index * _SEEDS_PER_CELL + trial_index
 
 
 @dataclass
@@ -327,15 +294,6 @@ class ExperimentResult:
             fh.write(self.to_csv_text())
 
 
-def _build_engine(
-    X: GroundSet, fam_name: str, budget: EnumerationBudget | None
-) -> tuple[InducedRangeSet | None, str | None]:
-    try:
-        return induced_ranges(family_by_name(fam_name), X, budget), None
-    except BudgetExceededError as exc:
-        return None, str(exc)
-
-
 def _run_cell(
     cfg: ExperimentConfig,
     X: GroundSet,
@@ -360,7 +318,7 @@ def _run_cell(
             )
         else:
             N = draw_sample(X, m, seed_t)
-        report = _verify_one(cfg.property, X, N, eps, p, cfg.family, engine)
+        report = verify_property(cfg.property, X, N, eps, p, cfg.family, ranges=engine)
         if not report.passed:
             failures += 1
         details.append(
@@ -383,7 +341,12 @@ def run_experiment(
     errored instead of aborting the run."""
     fam = family_by_name(cfg.family)
     X = generate_ground_set(cfg.source, fam.ambient_dim, cfg.seed)
-    engine, error = _build_engine(X, cfg.family, budget)
+    engine: InducedRangeSet | None = None
+    error = None
+    try:
+        engine = induced_ranges(fam, X, budget)
+    except BudgetExceededError as exc:
+        error = str(exc)
     cells: list[dict[str, Any]] = []
     walls: list[float] = []
     for cell_index, (eps, p) in enumerate(cfg.cells()):
@@ -511,25 +474,24 @@ def size_table(
     delta_values = [float(d) for d in grid.get("delta", (0.25,))]
     c_values = [float(c) for c in grid.get("C", (1.0,))]
     rows: list[dict[str, Any]] = []
-    for prop in PROPERTIES:
-        needs_p = prop in _NEEDS_P
-        if needs_p and not p_values:
+    for prop in PROPERTIES.values():
+        if prop.needs_p and not p_values:
             continue
-        ps: list[float | None] = p_values if needs_p else [None]
+        ps: list[float | None] = p_values if prop.needs_p else [None]
         for fam_name in families:
             fam = family_by_name(fam_name)
             for eps, p, delta, C in product(eps_values, ps, delta_values, c_values):
                 row: dict[str, Any] = {
-                    "property": prop,
+                    "property": prop.name,
                     "family": fam_name,
                     "eps": eps,
                     "p": p,
                     "delta": delta,
                     "C": C,
-                    "size": sample_size_for(prop, fam.vc_dimension, eps, p, delta, C),
+                    "size": prop.size(fam.vc_dimension, eps, p, delta, C),
                     "plain_p_approx_size": (
                         size_eps_approx(p, fam.vc_dimension, delta, C)
-                        if needs_p
+                        if prop.needs_p
                         else None
                     ),
                 }

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,19 +90,18 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class RangeFamily:
-    """A named family of regions with its VC dimension and ambient dimension."""
+    """A named family of closed regions: VC and ambient dimension, witness
+    length and the witness positions that must be non-negative, membership
+    expression `contains_many(params, coords)` (a boolean row over an
+    (n, dim) array) and enumerator `build(fam, ground)`."""
 
     name: str
     vc_dimension: int
     ambient_dim: int
-
-
-FAMILIES: dict[str, RangeFamily] = {
-    "intervals": RangeFamily("intervals", vc_dimension=2, ambient_dim=1),
-    "halfplanes": RangeFamily("halfplanes", vc_dimension=3, ambient_dim=2),
-    "rectangles": RangeFamily("rectangles", vc_dimension=4, ambient_dim=2),
-    "disks": RangeFamily("disks", vc_dimension=3, ambient_dim=2),
-}
+    n_params: int
+    contains_many: Callable[[tuple[float, ...], np.ndarray], np.ndarray] = field(repr=False)
+    build: Callable[["RangeFamily", GroundSet], "InducedRangeSet"] = field(repr=False)
+    nonnegative: tuple[int, ...] = ()
 
 
 def family(name: str) -> RangeFamily:
@@ -119,17 +118,17 @@ def family(name: str) -> RangeFamily:
 
 
 def _check_params(fam: RangeFamily, params: tuple[float, ...]) -> tuple[float, ...]:
-    lengths = {"intervals": 2, "halfplanes": 3, "rectangles": 4, "disks": 3}
-    want = lengths[fam.name]
     params = tuple(float(v) for v in params)
-    if len(params) != want:
+    if len(params) != fam.n_params:
         raise ParameterError(
-            f"{fam.name} witness needs {want} parameters, got {len(params)}"
+            f"{fam.name} witness needs {fam.n_params} parameters, got {len(params)}"
         )
     if not all(math.isfinite(v) for v in params):
         raise ParameterError("witness parameters must be finite")
-    if fam.name == "disks" and params[2] < 0.0:
-        raise ParameterError("disk radius must be non-negative")
+    if any(params[i] < 0.0 for i in fam.nonnegative):
+        raise ParameterError(
+            f"{fam.name} witness parameters at {fam.nonnegative} must be non-negative"
+        )
     return params
 
 
@@ -151,33 +150,37 @@ def contains(fam: RangeFamily, params: tuple[float, ...], point) -> bool:
         raise ParameterError(
             f"{fam.name} lives in R^{fam.ambient_dim}, got point of shape {pt.shape}"
         )
-    coords = pt.reshape(1, -1)
-    return bool(_contains_many(fam, params, coords)[0])
+    return bool(fam.contains_many(params, pt.reshape(1, -1))[0])
 
 
-def _contains_many(
-    fam: RangeFamily, params: tuple[float, ...], coords: np.ndarray
-) -> np.ndarray:
-    # Elementwise arithmetic only: numpy float64 elementwise ops round exactly
-    # like Python scalar arithmetic, keeping enumeration and `contains` in
-    # bit-for-bit agreement. No dot products (those may reorder/fuse).
-    if fam.name == "intervals":
-        lo, hi = params
-        x = coords[:, 0]
-        return (x >= lo) & (x <= hi)
-    if fam.name == "halfplanes":
-        a, b, c = params
-        return a * coords[:, 0] + b * coords[:, 1] <= c
-    if fam.name == "rectangles":
-        xlo, xhi, ylo, yhi = params
-        x, y = coords[:, 0], coords[:, 1]
-        return (x >= xlo) & (x <= xhi) & (y >= ylo) & (y <= yhi)
-    if fam.name == "disks":
-        cx, cy, radius = params
-        dx = coords[:, 0] - cx
-        dy = coords[:, 1] - cy
-        return dx * dx + dy * dy <= radius * radius
-    raise ParameterError(f"unknown family {fam.name!r}")
+# Membership expressions. Elementwise arithmetic only: numpy float64
+# elementwise ops round exactly like Python scalar arithmetic, keeping
+# enumeration and `contains` in bit-for-bit agreement. No dot products
+# (those may reorder/fuse).
+
+
+def _in_interval(params: tuple[float, ...], coords: np.ndarray) -> np.ndarray:
+    lo, hi = params
+    x = coords[:, 0]
+    return (x >= lo) & (x <= hi)
+
+
+def _in_halfplane(params: tuple[float, ...], coords: np.ndarray) -> np.ndarray:
+    a, b, c = params
+    return a * coords[:, 0] + b * coords[:, 1] <= c
+
+
+def _in_rectangle(params: tuple[float, ...], coords: np.ndarray) -> np.ndarray:
+    xlo, xhi, ylo, yhi = params
+    x, y = coords[:, 0], coords[:, 1]
+    return (x >= xlo) & (x <= xhi) & (y >= ylo) & (y <= yhi)
+
+
+def _in_disk(params: tuple[float, ...], coords: np.ndarray) -> np.ndarray:
+    cx, cy, radius = params
+    dx = coords[:, 0] - cx
+    dy = coords[:, 1] - cy
+    return dx * dx + dy * dy <= radius * radius
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +386,7 @@ def induced_ranges(
     limit = budget.limit_for(fam)
     if len(ground) > limit:
         raise BudgetExceededError(fam.name, len(ground), limit)
-    if fam.name == "intervals":
-        return _IntervalRangeSet(fam, ground)
-    if fam.name == "halfplanes":
-        return _build_halfplanes(fam, ground)
-    if fam.name == "rectangles":
-        return _build_rectangles(fam, ground)
-    if fam.name == "disks":
-        return _build_disks(fam, ground)
-    raise ParameterError(f"unknown family {fam.name!r}")
+    return fam.build(fam, ground)
 
 
 def enumerate_induced_ranges(
@@ -517,7 +512,7 @@ def _disk_witness(cx: float, cy: float, ux: float, uy: float) -> tuple[float, fl
 
 
 def _disk_rows(
-    fam: RangeFamily, centers: np.ndarray, u: np.ndarray, coords: np.ndarray
+    centers: np.ndarray, u: np.ndarray, coords: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Membership rows for anchored disks through u, one per center.
 
@@ -567,7 +562,7 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     collector.add(np.zeros(n, dtype=bool), (far_x, float(np.min(ys)), 0.0))
 
     def add_params(params: tuple[float, float, float]) -> None:
-        collector.add(_contains_many(fam, params, coords), params)
+        collector.add(fam.contains_many(params, coords), params)
 
     cx0 = float((np.min(xs) + np.max(xs)) / 2.0)
     cy0 = float((np.min(ys) + np.max(ys)) / 2.0)
@@ -619,11 +614,11 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
                 )
                 gaps = np.maximum(gaps, span * 1e-12)
             centers = p0[None, :] + t_list[:, None] * dvec[None, :]
-            rows, radii = _disk_rows(fam, centers, u, coords)
+            rows, radii = _disk_rows(centers, u, coords)
             vmask = (xs == v[0]) & (ys == v[1])
             # first face probe for every candidate, batched
             off = centers - (0.5 * gaps)[:, None] * nhat[None, :]
-            rows2, radii2 = _disk_rows(fam, off, u, coords)
+            rows2, radii2 = _disk_rows(off, u, coords)
             collector.add_batch(
                 rows, zip(centers[:, 0].tolist(), centers[:, 1].tolist(), radii.tolist())
             )
@@ -651,7 +646,7 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
                     if c2x == cx and c2y == cy:
                         break
                     params2 = _disk_witness(c2x, c2y, float(u[0]), float(u[1]))
-                    row2 = _contains_many(fam, params2, coords)
+                    row2 = fam.contains_many(params2, coords)
                     collector.add(row2, params2)
                     if np.array_equal(row2, target):
                         break
@@ -704,6 +699,18 @@ def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
         )
 
     return _CsrRangeSet(fam, ground, collector.rows, collector.witnesses)
+
+
+FAMILIES: dict[str, RangeFamily] = {
+    fam.name: fam
+    for fam in (
+        # name, VC dim, ambient dim, witness length, membership, enumerator
+        RangeFamily("intervals", 2, 1, 2, _in_interval, _IntervalRangeSet),
+        RangeFamily("halfplanes", 3, 2, 3, _in_halfplane, _build_halfplanes),
+        RangeFamily("rectangles", 4, 2, 4, _in_rectangle, _build_rectangles),
+        RangeFamily("disks", 3, 2, 3, _in_disk, _build_disks, nonnegative=(2,)),
+    )
+}
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,19 @@ __all__ = [
 SAMPLE_SCHEMA_VERSION = 1
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_schema_version(doc: dict[str, Any], version: int, what: str) -> None:
+    """A document may omit schema_version; if present it must be `version`."""
+    found = doc.get("schema_version", version)
+    if not (_is_int(found) and found == version):
+        raise ParameterError(
+            f"{what} schema_version must be {version}, got {found!r}"
+        )
+
+
 def _check_unit(name: str, value: float, allow_one: bool = False) -> float:
     value = float(value)
     hi_ok = value <= 1.0 if allow_one else value < 1.0
@@ -245,15 +258,34 @@ def write_sample_json(path: str, N: Sample, X: GroundSet | None = None) -> None:
 
 
 def read_sample_json(path: str) -> Sample:
+    return _load_sample_json(path)[0]
+
+
+def _load_sample_json(path: str) -> tuple[Sample, np.ndarray | None]:
+    """The sample stored at path, and its embedded (m, dim) draw coordinates
+    when the file carries them. Any malformed field is a ParameterError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: sample file must hold a JSON object")
+    _check_schema_version(doc, SAMPLE_SCHEMA_VERSION, f"{path}: sample")
+    for key in ("indices", "m", "seed", "n_points"):
+        if key not in doc:
+            raise ParameterError(f"{path}: sample file missing field {key!r}")
+        values = doc[key] if key == "indices" else [doc[key]]
+        if not (isinstance(values, list) and all(_is_int(v) for v in values)):
+            raise ParameterError(f"{path}: sample field {key!r} must be integer-valued")
     try:
-        return Sample(
+        N = Sample(
             indices=np.asarray(doc["indices"], dtype=np.int64),
-            m=int(doc["m"]),
-            seed=int(doc["seed"]),
-            ground_size=int(doc["n_points"]),
+            m=doc["m"],
+            seed=doc["seed"],
+            ground_size=doc["n_points"],
             params=doc.get("params"),
         )
-    except KeyError as missing:
-        raise ParameterError(f"{path}: sample file missing field {missing}") from None
+        coords = GroundSet(doc["points"]).coords if "points" in doc else None
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    if coords is not None and coords.shape[0] != N.m:
+        raise ParameterError(f"{path}: {coords.shape[0]} points for m = {N.m} draws")
+    return N, coords

@@ -1,9 +1,12 @@
-"""Exhaustive verifiers for sampling guarantees.
+"""Exhaustive verifiers for sampling guarantees, and the property registry.
 
-Each verifier enumerates every induced range of the ground set, evaluates
-the guarantee's defining inequalities on exact integer counts (one float
-division at comparison time, no accumulation), and reports the tightest
-constraint as a signed margin. `passed` is exactly `worst_margin >= 0`.
+Each guarantee is one `Property` record in `PROPERTIES`: its names, whether
+it takes p, its sample size and its margin kernel. Every verifier runs the
+same path: enumerate every induced range of the ground set, count ground
+and sample points per range, evaluate the guarantee's defining
+inequalities on those exact integer counts (one float division at
+comparison time, no accumulation), and report the tightest constraint as a
+signed margin. `passed` is exactly `worst_margin >= 0`.
 
 Inequalities carry a relative slack of REL_TOL in favor of passing: true
 weights are exact rationals, so near-ties only arise from rounding on the
@@ -18,8 +21,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,11 +36,22 @@ from .ranges import (
     family as family_by_name,
     induced_ranges,
 )
-from .sampling import Sample, _check_unit
+from .sampling import (
+    Sample,
+    _check_unit,
+    size_eps_approx,
+    size_eps_net,
+    size_relative,
+    size_sensitive,
+)
 
 __all__ = [
     "REL_TOL",
+    "Property",
+    "PROPERTIES",
+    "canonical_property",
     "VerificationReport",
+    "verify_property",
     "verify_eps_net",
     "verify_eps_approx",
     "verify_sensitive",
@@ -53,17 +67,13 @@ REL_TOL = 1e-9
 _UP = 1.0 + REL_TOL
 _DOWN = 1.0 - REL_TOL
 
-PROPERTIES = ("eps_net", "eps_approx", "sensitive", "relative", "relative_sensitive")
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one exhaustive check.
 
     worst_margin is the signed slack of the tightest constraint; the report
     passes exactly when it is non-negative. worst_range is the range
-    attaining it (for a vacuous eps-net check, the heaviest range stands in
-    and the margin is +inf).
+    attaining it; ties go to the lexicographically least member list.
     """
 
     property: str
@@ -160,84 +170,29 @@ def _deviations(engine: InducedRangeSet, N: Sample) -> tuple[np.ndarray, np.ndar
     return r_cnt, s_cnt
 
 
-def verify_eps_net(
-    X: GroundSet,
-    N: Sample,
-    eps: float,
-    fam: RangeFamily | str,
-    *,
-    budget: EnumerationBudget | None = None,
-    ranges: InducedRangeSet | None = None,
-) -> VerificationReport:
-    """Every range of fractional weight >= eps must catch at least one draw.
+# Margin kernels map exact per-range ground and sample counts to signed
+# slacks, non-negative exactly where the guarantee holds on that range.
 
-    The margin for a heavy range is sample_weight - 1/m, the gap to the
-    smallest sample weight that still counts as hit; it is negative exactly
-    on missed heavy ranges. Exact integer arithmetic, no tolerance needed.
-    """
-    eps = _check_unit("eps", eps)
-    engine = _engine(X, N, fam, budget, ranges)
-    r_cnt, s_cnt = _deviations(engine, N)
-    n, m = len(X), N.m
+
+def _net_margins(r_cnt, s_cnt, n, m, eps, p):
+    # light ranges are unconstrained; the full set is induced and heavy, so
+    # at least one margin is finite
     heavy = r_cnt >= eps * n
-    if not heavy.any():
-        top = np.nonzero(r_cnt == r_cnt.max())[0]
-        k = _lex_min_range(engine, top)
-        return VerificationReport(
-            property="eps_net",
-            passed=True,
-            worst_margin=math.inf,
-            worst_range=engine.range_at(k),
-            ranges_checked=len(engine),
-        )
-    margins = np.full(len(engine), math.inf)
+    margins = np.full(r_cnt.shape[0], math.inf)
     margins[heavy] = (s_cnt[heavy] - 1) / m
-    return _report("eps_net", engine, margins)
+    return margins
 
 
-def verify_eps_approx(
-    X: GroundSet,
-    N: Sample,
-    eps: float,
-    fam: RangeFamily | str,
-    *,
-    budget: EnumerationBudget | None = None,
-    ranges: InducedRangeSet | None = None,
-) -> VerificationReport:
-    """|r(R) - s(R)| <= eps on every induced range."""
-    eps = _check_unit("eps", eps)
-    engine = _engine(X, N, fam, budget, ranges)
-    r_cnt, s_cnt = _deviations(engine, N)
-    n, m = len(X), N.m
+def _approx_margins(r_cnt, s_cnt, n, m, eps, p):
     dev = np.abs(r_cnt * m - s_cnt * n) / (n * m)
-    margins = eps * _UP - dev
-    return _report("eps_approx", engine, margins)
+    return eps * _UP - dev
 
 
-def verify_sensitive(
-    X: GroundSet,
-    N: Sample,
-    eps: float,
-    fam: RangeFamily | str,
-    *,
-    budget: EnumerationBudget | None = None,
-    ranges: InducedRangeSet | None = None,
-) -> VerificationReport:
-    """|r - s| <= (eps/2)(sqrt(r) + eps) on every induced range.
-
-    The allowance scales with sqrt(r), so light ranges are held to a much
-    tighter deviation than an eps-approximation would ask; at r=0 it
-    reduces to s <= eps^2/2.
-    """
-    eps = _check_unit("eps", eps)
-    engine = _engine(X, N, fam, budget, ranges)
-    r_cnt, s_cnt = _deviations(engine, N)
-    n, m = len(X), N.m
+def _sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
     dev = np.abs(r_cnt * m - s_cnt * n) / (n * m)
     r = r_cnt / n
     allowance = (eps / 2.0) * (np.sqrt(r) + eps)
-    margins = allowance * _UP - dev
-    return _report("sensitive", engine, margins)
+    return allowance * _UP - dev
 
 
 def _relative_margins(
@@ -245,9 +200,7 @@ def _relative_margins(
     s_cnt: np.ndarray,
     n: int,
     m: int,
-    p: float,
-    eps_lo: np.ndarray | float,
-    eps_up: np.ndarray | float,
+    env_eps: np.ndarray | float,
     cap_eps: np.ndarray | float,
     cap_base: np.ndarray | float,
     heavy: np.ndarray,
@@ -255,19 +208,19 @@ def _relative_margins(
 ) -> np.ndarray:
     """Shared margin assembly for the relative-style verifiers.
 
-    Heavy ranges get the two-sided envelope (1 - eps_lo) r <= s <=
-    (1 + eps_up) r; capped ranges get s <= (1 + cap_eps) cap_base. Margins
+    Heavy ranges get the two-sided envelope (1 - env_eps) r <= s <=
+    (1 + env_eps) r; capped ranges get s <= (1 + cap_eps) cap_base. Margins
     for inapplicable clauses are +inf; each range keeps its tightest. The
-    plain relative check is the eps_lo = eps_up = cap_eps = eps,
-    cap_base = p instance, and the multi-level verifier reuses the same
-    expressions so its level-1 margins match bit for bit.
+    plain relative check is the env_eps = cap_eps = eps, cap_base = p
+    instance, and the multi-level verifier reuses the same expressions so
+    its level-1 margins match bit for bit.
     """
     r = r_cnt / n
     s = s_cnt / m
     margins = np.full(r.shape[0], math.inf)
     if heavy.any():
-        lo = s[heavy] - (1.0 - eps_lo) * r[heavy] * _DOWN
-        up = (1.0 + eps_up) * r[heavy] * _UP - s[heavy]
+        lo = s[heavy] - (1.0 - env_eps) * r[heavy] * _DOWN
+        up = (1.0 + env_eps) * r[heavy] * _UP - s[heavy]
         margins[heavy] = np.minimum(lo, up)
     if capped.any():
         cap = (1.0 + cap_eps) * cap_base * _UP - s[capped]
@@ -275,66 +228,18 @@ def _relative_margins(
     return margins
 
 
-def verify_relative(
-    X: GroundSet,
-    N: Sample,
-    p: float,
-    eps: float,
-    fam: RangeFamily | str,
-    *,
-    budget: EnumerationBudget | None = None,
-    ranges: InducedRangeSet | None = None,
-) -> VerificationReport:
-    """Relative (p, eps)-approximation, both clauses.
-
-    (i) r >= p: (1-eps) r <= s <= (1+eps) r.
-    (ii) r <= p: s <= (1+eps) p.
-    A range with r = p must satisfy both.
-    """
-    p = _check_unit("p", p)
-    eps = _check_unit("eps", eps)
-    engine = _engine(X, N, fam, budget, ranges)
-    r_cnt, s_cnt = _deviations(engine, N)
-    n, m = len(X), N.m
-    heavy = r_cnt >= p * n
-    light = r_cnt <= p * n
-    margins = _relative_margins(
-        r_cnt, s_cnt, n, m, p, eps, eps, eps, p, heavy, light
-    )
-    return _report("relative", engine, margins)
+def _relative_kernel(r_cnt, s_cnt, n, m, eps, p, *, envelope=True, cap=True):
+    # clause (i) on r >= p, clause (ii) on r <= p; the implication check
+    # switches one clause off to judge the other alone
+    off = np.zeros(r_cnt.shape[0], dtype=bool)
+    heavy = r_cnt >= p * n if envelope else off
+    light = r_cnt <= p * n if cap else off
+    return _relative_margins(r_cnt, s_cnt, n, m, eps, eps, p, heavy, light)
 
 
-def _level_count(p: float) -> int:
-    return max(1, int(math.floor(1.0 / p)))
-
-
-def verify_relative_sensitive(
-    X: GroundSet,
-    N: Sample,
-    p: float,
-    eps: float,
-    fam: RangeFamily | str,
-    *,
-    budget: EnumerationBudget | None = None,
-    ranges: InducedRangeSet | None = None,
-) -> VerificationReport:
-    """One sample serving every level i = 1..floor(1/p) at once.
-
-    Level i is a relative (i p, eps/sqrt(i))-approximation. Per range only
-    the binding level of each clause is checked: the two-sided envelope
-    uses i* = floor(r/p) (largest i whose threshold the range clears, where
-    eps/sqrt(i) is tightest), and the one-sided cap uses j = ceil(r/p)
-    (smallest level whose cap (1 + eps/sqrt(j)) j p applies, the lowest
-    such cap). Level 1 reproduces the plain relative check exactly, so
-    passing here implies passing verify_relative at (p, eps).
-    """
-    p = _check_unit("p", p)
-    eps = _check_unit("eps", eps)
-    engine = _engine(X, N, fam, budget, ranges)
-    r_cnt, s_cnt = _deviations(engine, N)
-    n, m = len(X), N.m
+def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
     pn = p * n
-    levels = _level_count(p)
+    levels = max(1, int(math.floor(1.0 / p)))
 
     heavy = r_cnt >= pn
     # binding envelope level: largest i with r_cnt >= i*pn, nudged to undo
@@ -359,20 +264,152 @@ def verify_relative_sensitive(
     cap_eps = eps / np.sqrt(j_f)
     cap_base = j_f * p
 
-    margins = _relative_margins(
-        r_cnt,
-        s_cnt,
-        n,
-        m,
-        p,
-        env_eps[heavy],
-        env_eps[heavy],
-        cap_eps[capped],
-        cap_base[capped],
-        heavy,
-        capped,
+    return _relative_margins(
+        r_cnt, s_cnt, n, m, env_eps[heavy], cap_eps[capped], cap_base[capped], heavy, capped
     )
-    return _report("relative_sensitive", engine, margins)
+
+
+def _size_relative(d, eps, p, delta, C):
+    # one sample size serves every level of the relative-sensitive ladder
+    return size_relative(p, eps, d, delta, C)
+
+
+@dataclass(frozen=True)
+class Property:
+    """One guarantee: its canonical name, the other spellings accepted for
+    it, whether it takes a weight threshold p, its sample size
+    size(d, eps, p, delta, C) and its margin kernel
+    margins(r_cnt, s_cnt, n, m, eps, p)."""
+
+    name: str
+    aliases: tuple[str, ...]
+    needs_p: bool
+    size: Callable[[int, float, float | None, float, float], int] = field(repr=False)
+    margins: Callable[..., np.ndarray] = field(repr=False)
+
+
+PROPERTIES: dict[str, Property] = {
+    prop.name: prop
+    for prop in (
+        Property(
+            "eps_net", ("net", "eps-net"), False,
+            lambda d, eps, p, delta, C: size_eps_net(eps, d, delta, C), _net_margins,
+        ),
+        Property(
+            "eps_approx", ("approx", "eps-approx"), False,
+            lambda d, eps, p, delta, C: size_eps_approx(eps, d, delta, C), _approx_margins,
+        ),
+        Property(
+            "sensitive", (), False,
+            lambda d, eps, p, delta, C: size_sensitive(eps, d, delta, C), _sensitive_margins,
+        ),
+        Property("relative", (), True, _size_relative, _relative_kernel),
+        Property(
+            "relative_sensitive", ("relative-sensitive",), True,
+            _size_relative, _relative_sensitive_margins,
+        ),
+    )
+}
+
+# every accepted spelling -> canonical name
+_SPELLINGS = {
+    s: prop.name for prop in PROPERTIES.values() for s in (prop.name, *prop.aliases)
+}
+
+
+def canonical_property(name: str) -> str:
+    try:
+        return _SPELLINGS[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown property {name!r}; choose from {sorted(_SPELLINGS)}"
+        ) from None
+
+
+def verify_property(
+    prop: str, X: GroundSet, N: Sample, eps: float, p: float | None,
+    fam: RangeFamily | str, *,
+    budget: EnumerationBudget | None = None, ranges: InducedRangeSet | None = None,
+) -> VerificationReport:
+    """Exhaustively check one property, named by any accepted spelling: the
+    engine's per-range counts through the property's margin kernel into a
+    report. p is ignored by the properties that do not take it."""
+    prop = PROPERTIES[canonical_property(prop)]
+    if prop.needs_p:
+        if p is None:
+            raise ParameterError(f"{prop.name} needs p")
+        p = _check_unit("p", p)
+    eps = _check_unit("eps", eps)
+    engine = _engine(X, N, fam, budget, ranges)
+    r_cnt, s_cnt = _deviations(engine, N)
+    margins = prop.margins(r_cnt, s_cnt, len(X), N.m, eps, p)
+    return _report(prop.name, engine, margins)
+
+
+def verify_eps_net(
+    X: GroundSet, N: Sample, eps: float, fam: RangeFamily | str, *,
+    budget: EnumerationBudget | None = None, ranges: InducedRangeSet | None = None,
+) -> VerificationReport:
+    """Every range of fractional weight >= eps must catch at least one draw.
+
+    The margin for a heavy range is sample_weight - 1/m, the gap to the
+    smallest sample weight that still counts as hit; it is negative exactly
+    on missed heavy ranges. Exact integer arithmetic, no tolerance needed.
+    """
+    return verify_property("eps_net", X, N, eps, None, fam, budget=budget, ranges=ranges)
+
+
+def verify_eps_approx(
+    X: GroundSet, N: Sample, eps: float, fam: RangeFamily | str, *,
+    budget: EnumerationBudget | None = None, ranges: InducedRangeSet | None = None,
+) -> VerificationReport:
+    """|r(R) - s(R)| <= eps on every induced range."""
+    return verify_property("eps_approx", X, N, eps, None, fam, budget=budget, ranges=ranges)
+
+
+def verify_sensitive(
+    X: GroundSet, N: Sample, eps: float, fam: RangeFamily | str, *,
+    budget: EnumerationBudget | None = None, ranges: InducedRangeSet | None = None,
+) -> VerificationReport:
+    """|r - s| <= (eps/2)(sqrt(r) + eps) on every induced range.
+
+    The allowance scales with sqrt(r), so light ranges are held to a much
+    tighter deviation than an eps-approximation would ask; at r=0 it
+    reduces to s <= eps^2/2.
+    """
+    return verify_property("sensitive", X, N, eps, None, fam, budget=budget, ranges=ranges)
+
+
+def verify_relative(
+    X: GroundSet, N: Sample, p: float, eps: float, fam: RangeFamily | str, *,
+    budget: EnumerationBudget | None = None, ranges: InducedRangeSet | None = None,
+) -> VerificationReport:
+    """Relative (p, eps)-approximation, both clauses.
+
+    (i) r >= p: (1-eps) r <= s <= (1+eps) r.
+    (ii) r <= p: s <= (1+eps) p.
+    A range with r = p must satisfy both.
+    """
+    return verify_property("relative", X, N, eps, p, fam, budget=budget, ranges=ranges)
+
+
+def verify_relative_sensitive(
+    X: GroundSet, N: Sample, p: float, eps: float, fam: RangeFamily | str, *,
+    budget: EnumerationBudget | None = None, ranges: InducedRangeSet | None = None,
+) -> VerificationReport:
+    """One sample serving every level i = 1..floor(1/p) at once.
+
+    Level i is a relative (i p, eps/sqrt(i))-approximation. Per range only
+    the binding level of each clause is checked: the two-sided envelope
+    uses i* = floor(r/p) (largest i whose threshold the range clears, where
+    eps/sqrt(i) is tightest), and the one-sided cap uses j = ceil(r/p)
+    (smallest level whose cap (1 + eps/sqrt(j)) j p applies, the lowest
+    such cap). Level 1 reproduces the plain relative check exactly, so
+    passing here implies passing verify_relative at (p, eps).
+    """
+    return verify_property(
+        "relative_sensitive", X, N, eps, p, fam, budget=budget, ranges=ranges
+    )
 
 
 def check_sensitive_implies_net_approx(
@@ -424,23 +461,14 @@ def check_sensitive_implies_relative(
     eps_prime = eps * math.sqrt(p)
     if not verify_sensitive(X, N, eps_prime, fam, ranges=engine).passed:
         return True
-    r_cnt, s_cnt = _deviations(engine, N)
-    n, m = len(X), N.m
-    heavy = r_cnt >= p * n
-    none_capped = np.zeros(r_cnt.shape[0], dtype=bool)
-    margins = _relative_margins(
-        r_cnt, s_cnt, n, m, p, eps, eps, eps, p, heavy, none_capped
-    )
-    clause_i_ok = bool(np.min(margins) >= 0.0)
-    light = r_cnt <= p * n
-    cap_margins = _relative_margins(
-        r_cnt, s_cnt, n, m, p, eps, eps, eps, p, none_capped, light
-    )
+    counts = (*_deviations(engine, N), len(X), N.m, eps, p)
+    clause_i_ok = bool(np.min(_relative_kernel(*counts, cap=False)) >= 0.0)
+    clause_ii_ok = bool(np.min(_relative_kernel(*counts, envelope=False)) >= 0.0)
     log.info(
         "sensitive(eps'=%.6g) passed; relative clause (i) %s, "
         "unasserted clause (ii) %s",
         eps_prime,
         "holds" if clause_i_ok else "VIOLATED",
-        "holds" if bool(np.min(cap_margins) >= 0.0) else "violated",
+        "holds" if clause_ii_ok else "violated",
     )
     return clause_i_ok

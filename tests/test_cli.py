@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,9 +12,12 @@ import pytest
 
 import vcsample
 from vcsample.cli import main
-from vcsample.harness import ExperimentConfig, SourceSpec, run_experiment
-from vcsample.ranges import GroundSet, write_points_csv
+from vcsample.harness import ExperimentConfig, SourceSpec, run_experiment, sample_size_for
+from vcsample.ranges import DEFAULT_BUDGET, FAMILIES, GroundSet, write_points_csv
 from vcsample.sampling import Sample, write_sample_json
+from vcsample.verify import _SPELLINGS
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 @pytest.fixture
 def points_1d(tmp_path):
@@ -29,6 +33,52 @@ def _draw(points, out, m=6, seed=7):
 def _fixed_sample(indices, ground_size):
     idx = np.asarray(indices, dtype=np.int64)
     return Sample(indices=idx, m=len(idx), seed=0, ground_size=ground_size)
+
+
+def _rejected(capsys, argv):
+    """main(argv) exits 2 with one `error:` line and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+# every spelling the README promises
+SPELLINGS = [
+    ("net", "eps_net"), ("eps-net", "eps_net"), ("eps_net", "eps_net"),
+    ("approx", "eps_approx"), ("eps-approx", "eps_approx"), ("eps_approx", "eps_approx"),
+    ("sensitive", "sensitive"), ("relative", "relative"),
+    ("relative-sensitive", "relative_sensitive"), ("relative_sensitive", "relative_sensitive"),
+]
+
+
+@pytest.mark.parametrize("spelling, canonical", SPELLINGS)
+def test_property_spellings(spelling, canonical, points_1d, tmp_path, capsys):
+    p = ["--p", "0.2"] if canonical.startswith("relative") else []
+    assert main(["size", "--property", spelling, "--eps", "0.3", "--d", "2",
+                 "--delta", "0.25", *p]) == 0
+    expected = sample_size_for(canonical, 2, 0.3, 0.2 if p else None, 0.25, 1.0)
+    assert capsys.readouterr().out == f"{expected}\n"
+    sample = str(tmp_path / "s.json")
+    write_sample_json(sample, _fixed_sample(np.arange(10), 10))
+    assert main(["verify", "--property", spelling, "--points", points_1d, "--sample", sample,
+                 "--family", "intervals", "--eps", "0.3", *p]) == 0
+    assert json.loads(capsys.readouterr().out)["property"] == canonical
+
+
+def test_readme_matches_registry():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    aliases = text[text.index("Property names accept aliases:"):]
+    aliases = aliases[: aliases.index("\n\n")]
+    listed = set(re.findall(r"`([a-z_-]+)`", aliases))
+    assert listed == set(_SPELLINGS)
+    assert listed == {s for s, _ in SPELLINGS}
+    rows = re.findall(r"^\| `(\w+)` +\| (\d+) +\| (\d+) +\| (\d+) +\|$", text, re.M)
+    assert {name: tuple(map(int, nums)) for name, *nums in rows} == {
+        fam.name: (fam.ambient_dim, fam.vc_dimension, DEFAULT_BUDGET.limit_for(fam))
+        for fam in FAMILIES.values()
+    }
 
 
 # ---------------------------------------------------------------- size
@@ -190,6 +240,40 @@ def test_query_needs_embedded_points(tmp_path, capsys):
     assert "embedded" in capsys.readouterr().err
 
 
+def test_query_points_size_defaults_to_sample(points_1d, tmp_path, capsys):
+    sample = str(tmp_path / "s.json")
+    _draw(points_1d, sample, m=8, seed=3)
+    capsys.readouterr()
+    query = ["query", "--sample", sample, "--family", "intervals",
+             "--range", "2.5,7.5", "--guarantee", "approx:0.2"]
+    assert main(query) == 0
+    implicit = json.loads(capsys.readouterr().out)
+    assert main(query + ["--points-size", "10"]) == 0
+    assert json.loads(capsys.readouterr().out) == implicit
+    assert implicit["additive_error_bound"] == pytest.approx(0.2 * 10)
+    assert "n_points 10" in _rejected(capsys, query + ["--points-size", "5"])
+
+
+def test_malformed_sample_files(points_1d, tmp_path, capsys):
+    sample = str(tmp_path / "s.json")
+    _draw(points_1d, sample)
+    capsys.readouterr()
+    with open(sample) as fh:
+        good = json.load(fh)
+    for bad in (
+        [good],
+        {**good, "indices": [0.5] * good["m"]},
+        {**good, "schema_version": 2},
+        {**good, "points": "none"},
+    ):
+        with open(sample, "w") as fh:
+            json.dump(bad, fh)
+        _rejected(capsys, ["query", "--points-size", "10", "--sample", sample,
+                           "--family", "intervals", "--range", "2.5,7.5", "--guarantee", "none"])
+        _rejected(capsys, ["verify", "--property", "approx", "--points", points_1d,
+                           "--sample", sample, "--family", "intervals", "--eps", "0.3"])
+
+
 # ------------------------------------------------------------ experiment
 
 
@@ -229,6 +313,25 @@ def test_experiment_bad_config(tmp_path, capsys):
         fh.write("{not json")
     assert main(["experiment", "--config", path]) == 2
     assert main(["experiment", "--config", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    _, good_path = _write_config(tmp_path)
+    with open(good_path) as fh:
+        good = json.load(fh)
+    for bad in (
+        [good],
+        {**good, "grid": {"eps": "0.2"}},
+        {**good, "seed": 1.5},
+        {**good, "seed": -1},
+        {**good, "trials": True},
+        {**good, "trials": 10**6},
+        {**good, "take_all": "no"},
+        {**good, "source": {"kind": "uniform", "n": True}},
+        {**good, "schema_version": 2},
+    ):
+        with open(path, "w") as fh:
+            json.dump(bad, fh)
+        _rejected(capsys, ["experiment", "--config", path])
+        _rejected(capsys, ["calibrate", "--config", path, "--target-delta", "0.25"])
 
 
 # ------------------------------------------------------------- calibrate

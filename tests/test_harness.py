@@ -114,6 +114,24 @@ def test_config_validation():
         _config(delta=0.0)
     with pytest.raises(ParameterError):
         _config(family="simplices")
+    for bad in (
+        dict(trials=True),
+        dict(trials=10**6),  # trial_seed(0, 0, 10**6) == trial_seed(0, 1, 0)
+        dict(seed=1.5),
+        dict(seed=-1),
+        dict(take_all="no"),
+        dict(eps_values="0.2"),
+        dict(p_values=("0.1",)),
+        dict(delta="0.25"),
+        dict(C=True),
+    ):
+        with pytest.raises(ParameterError):
+            _config(**bad)
+    with pytest.raises(ParameterError):
+        SourceSpec(kind="uniform", n=True)
+    with pytest.raises(ParameterError):
+        SourceSpec(kind="file", path=5)
+    assert _config(trials=10**6 - 1, seed=0, take_all=True).trials == 10**6 - 1
 
 
 def test_config_cells_order():
@@ -142,6 +160,24 @@ def test_config_json_roundtrip(tmp_path):
 def test_config_json_errors():
     with pytest.raises(ParameterError):
         ExperimentConfig.from_json_dict({"family": "intervals"})
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_json_dict([_config().to_json_dict()])
+    for bad in (
+        {"grid": {"eps": "0.2"}},
+        {"grid": {"eps": [0.2], "p": "0.1"}},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"trials": True},
+        {"trials": 10**6},
+        {"take_all": "no"},
+        {"schema_version": 2},
+        {"schema_version": "1"},
+    ):
+        with pytest.raises(ParameterError):
+            ExperimentConfig.from_json_dict({**_config().to_json_dict(), **bad})
+    doc = _config().to_json_dict()
+    del doc["schema_version"]
+    assert ExperimentConfig.from_json_dict(doc) == _config()
     with pytest.raises(ParameterError):
         ExperimentConfig.from_json_dict(
             {

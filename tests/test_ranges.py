@@ -297,18 +297,23 @@ def test_witnesses_on_nondyadic_degenerate_inputs(fam_name):
 
 
 def test_empty_range_always_first():
+    """Row 0 is the empty range, and the full index set is always induced;
+    the eps-net verifier relies on the latter (the full set is heavy for
+    every eps < 1, so some margin is always finite)."""
     for fam_name in FAMILIES:
-        n = 6
-        rs = induced_ranges(
-            family(fam_name), GroundSet(random_coords(fam_name, n, 7))
-        )
-        assert rs.counts[0] == 0
-        assert rs.members(0).size == 0
-        params = rs.witness(0)
-        assert not any(
-            contains(family(fam_name), params, tuple(map(float, row)))
-            for row in rs.ground.coords
-        )
+        fam = family(fam_name)
+        coords = random_coords(fam_name, 8, 7)
+        duplicates = np.concatenate([coords[:3], coords[:3], coords[3:6]])
+        for pts in (coords, duplicates, coords[:1]):
+            rs = induced_ranges(fam, GroundSet(pts))
+            assert rs.counts[0] == 0
+            assert rs.members(0).size == 0
+            rows = [tuple(map(float, row)) for row in rs.ground.coords]
+            assert not any(contains(fam, rs.witness(0), row) for row in rows)
+            full = np.nonzero(np.asarray(rs.counts) == rs.n)[0]
+            assert full.size == 1
+            assert rs.members(full[0]).tolist() == list(range(rs.n))
+            assert all(contains(fam, rs.witness(full[0]), row) for row in rows)
 
 
 def test_sample_counts_matches_bruteforce():

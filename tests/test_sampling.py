@@ -241,3 +241,22 @@ def test_sample_json_missing_field(tmp_path):
     path.write_text('{"m": 3, "seed": 0, "indices": [0, 1, 2]}')
     with pytest.raises(ParameterError):
         read_sample_json(str(path))
+    good = {"schema_version": 1, "m": 3, "seed": 0, "n_points": 5, "indices": [0, 1, 2]}
+    path.write_text(json.dumps(good))
+    assert read_sample_json(str(path)).ground_size == 5
+    for bad in (
+        [0, 1, 2],  # not an object
+        {**good, "indices": [0, 1.5, 2]},
+        {**good, "indices": ["a", "b", "c"]},
+        {**good, "indices": [0, 1, 2**70]},
+        {**good, "indices": "012"},
+        {**good, "m": "3"},
+        {**good, "seed": None},
+        {**good, "n_points": 2},  # index 2 out of range
+        {**good, "schema_version": 2},
+        {**good, "points": [[0.5], [0.25]]},  # two rows for m = 3
+        {**good, "points": [["x"], [0.5], [0.25]]},
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ParameterError):
+            read_sample_json(str(path))
