@@ -122,7 +122,8 @@ def estimate_count(
                  s stands in for the true weight (sqrt(r) <= sqrt(s) + eps
                  under the guarantee, so the substitution is conservative).
       none:      additive X_size (no guarantee claimed).
-    confidence echoes 1 - delta when delta is given.
+    confidence echoes 1 - delta when delta is given. A parameter the
+    guarantee does not take (GUARANTEE_PARAMS) is a ParameterError.
     """
     fam = _resolve_family(fam)
     if guarantee not in GUARANTEES:
@@ -141,8 +142,12 @@ def estimate_count(
     s = int(fam.contains_many(Q, coords).sum()) / m
     estimate = s * X_size
 
-    given = {"eps": eps, "p": p}
-    for name in GUARANTEE_PARAMS[guarantee][0]:
+    required, optional = GUARANTEE_PARAMS[guarantee]
+    given = {"eps": eps, "p": p, "delta": delta}
+    for name, value in given.items():
+        if value is not None and name not in required + optional:
+            raise ParameterError(f"guarantee {guarantee!r} takes no {name}")
+    for name in required:
         if given[name] is None:
             raise ParameterError(f"guarantee {guarantee!r} needs {name}")
         given[name] = _check_unit(name, given[name])

@@ -406,30 +406,30 @@ def enumerate_induced_ranges(
 
 
 class _SubsetCollector:
-    """Dedupe membership rows by packed-bit key, keeping insertion order."""
+    """The one dedupe path of the planar enumerators.
 
-    def __init__(self, n: int):
-        self.n = n
-        self._seen: dict[bytes, int] = {}
+    Candidates arrive only as batches: a boolean (k, n) row matrix and its k
+    witnesses. Rows are keyed by their packed bits, and the first witness of
+    each distinct subset is kept, in insertion order.
+    """
+
+    def __init__(self):
+        self._keys: set[bytes] = set()
         self.rows: list[np.ndarray] = []
         self.witnesses: list[tuple[float, ...]] = []
-
-    def add(self, row: np.ndarray, witness: tuple[float, ...]) -> None:
-        key = np.packbits(row).tobytes()
-        if key not in self._seen:
-            self._seen[key] = len(self.rows)
-            self.rows.append(np.nonzero(row)[0].astype(np.int64))
-            self.witnesses.append(witness)
 
     def add_batch(self, rows: np.ndarray, witnesses) -> None:
         # one packbits pass for the whole batch; python loop only for dedupe
         packed = np.packbits(rows, axis=1)
         for k, witness in enumerate(witnesses):
             key = packed[k].tobytes()
-            if key not in self._seen:
-                self._seen[key] = len(self.rows)
+            if key not in self._keys:
+                self._keys.add(key)
                 self.rows.append(np.nonzero(rows[k])[0].astype(np.int64))
                 self.witnesses.append(witness)
+
+    def range_set(self, fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
+        return _CsrRangeSet(fam, ground, self.rows, self.witnesses)
 
 
 def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
@@ -463,10 +463,9 @@ def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     else:
         directions = np.array([0.0])
 
-    collector = _SubsetCollector(n)
-    empty = np.zeros(n, dtype=bool)
+    collector = _SubsetCollector()
     c_empty = float(np.nextafter(np.min(1.0 * xs + 0.0 * ys), -np.inf))
-    collector.add(empty, (1.0, 0.0, c_empty))
+    collector.add_batch(np.zeros((1, n), dtype=bool), [(1.0, 0.0, c_empty)])
 
     prev_order: np.ndarray | None = None
     prev_valid: np.ndarray | None = None
@@ -488,36 +487,23 @@ def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
             if ne.size:
                 window[ne[0] + 1 : ne[-1] + 1] = True
             candid &= window | (valid & ~prev_valid)
-        for t in np.nonzero(candid)[0]:
-            c = float(ksort[t - 1])
-            collector.add(keys <= c, (a, b, c))
+        cuts = ksort[candid[1:]]
+        collector.add_batch(
+            keys[None, :] <= cuts[:, None], [(a, b, c) for c in cuts.tolist()]
+        )
         prev_order, prev_valid = order, valid
 
-    return _CsrRangeSet(fam, ground, collector.rows, collector.witnesses)
-
-
-def _disk_witness(cx: float, cy: float, ux: float, uy: float) -> tuple[float, float, float]:
-    """Disk centered at (cx, cy) whose boundary passes through (ux, uy).
-
-    The radius is bumped by one ulp when squaring would otherwise round the
-    defining point just outside.
-    """
-    dx = ux - cx
-    dy = uy - cy
-    dsq = dx * dx + dy * dy
-    radius = math.sqrt(dsq)
-    if radius * radius < dsq:
-        radius = float(np.nextafter(radius, math.inf))
-    return (cx, cy, radius)
+    return collector.range_set(fam, ground)
 
 
 def _disk_rows(
     centers: np.ndarray, u: np.ndarray, coords: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Membership rows for anchored disks through u, one per center.
+    """Membership rows for anchored disks through u, one per center, and
+    their (cx, cy, radius) witnesses as a (k, 3) array.
 
     The broadcast arithmetic matches `contains` operation for operation, so
-    each row is reproduced exactly by its (cx, cy, radius) witness.
+    each row is reproduced exactly by its witness.
     """
     dxu = u[0] - centers[:, 0]
     dyu = u[1] - centers[:, 1]
@@ -528,7 +514,7 @@ def _disk_rows(
     dx = coords[None, :, 0] - centers[:, None, 0]
     dy = coords[None, :, 1] - centers[:, None, 1]
     rows = dx * dx + dy * dy <= (radii * radii)[:, None]
-    return rows, radii
+    return rows, np.column_stack([centers, radii])
 
 
 def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
@@ -545,10 +531,12 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     crossing with the other bisectors, at midpoints between consecutive
     crossings, and beyond the extremes covers its vertices and edges.
     Stepping off the line away from its defining point v covers the open
-    faces where v falls strictly outside; the step is halved until the
-    expected subset appears, and every probe row is kept since any anchored
-    disk is a valid witness. Single-position subsets come from radius-zero
-    disks, the empty and full subsets from explicit witnesses.
+    faces where v falls strictly outside. Where that first step overshoots,
+    the steps of all such retries on the line are halved together until
+    each shows its expected subset; every probe row is kept, in
+    retry-then-step order, since any anchored disk is a valid witness.
+    Single-position subsets come from radius-zero disks, the empty and full
+    subsets from explicit witnesses.
     """
     coords = ground.coords
     xs, ys = coords[:, 0], coords[:, 1]
@@ -556,24 +544,21 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     uniq = np.unique(coords, axis=0)
     m = uniq.shape[0]
 
-    collector = _SubsetCollector(n)
+    collector = _SubsetCollector()
     span_x = float(np.max(xs) - np.min(xs))
     far_x = float(np.min(xs) - 2.0 - span_x)
-    collector.add(np.zeros(n, dtype=bool), (far_x, float(np.min(ys)), 0.0))
-
-    def add_params(params: tuple[float, float, float]) -> None:
-        collector.add(fam.contains_many(params, coords), params)
-
     cx0 = float((np.min(xs) + np.max(xs)) / 2.0)
     cy0 = float((np.min(ys) + np.max(ys)) / 2.0)
     rmax = float(np.sqrt(np.max((xs - cx0) ** 2 + (ys - cy0) ** 2)))
-    add_params((cx0, cy0, rmax + 1.0))
-
-    for px, py in uniq:
-        add_params((float(px), float(py), 0.0))
+    # the empty range, the full disk and the radius-zero disks
+    specials = [(cx0, cy0, rmax + 1.0)] + [(px, py, 0.0) for px, py in uniq.tolist()]
+    collector.add_batch(
+        np.stack([np.zeros(n, dtype=bool)] + [fam.contains_many(w, coords) for w in specials]),
+        [(far_x, float(np.min(ys)), 0.0)] + specials,
+    )
 
     if m < 2:
-        return _CsrRangeSet(fam, ground, collector.rows, collector.witnesses)
+        return collector.range_set(fam, ground)
 
     span = max(span_x, float(np.max(ys) - np.min(ys)), 1.0)
     norms = np.sum(uniq * uniq, axis=1)
@@ -614,45 +599,49 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
                 )
                 gaps = np.maximum(gaps, span * 1e-12)
             centers = p0[None, :] + t_list[:, None] * dvec[None, :]
-            rows, radii = _disk_rows(centers, u, coords)
+            rows, wit = _disk_rows(centers, u, coords)
             vmask = (xs == v[0]) & (ys == v[1])
             # first face probe for every candidate, batched
             off = centers - (0.5 * gaps)[:, None] * nhat[None, :]
-            rows2, radii2 = _disk_rows(off, u, coords)
-            collector.add_batch(
-                rows, zip(centers[:, 0].tolist(), centers[:, 1].tolist(), radii.tolist())
-            )
-            collector.add_batch(
-                rows2, zip(off[:, 0].tolist(), off[:, 1].tolist(), radii2.tolist())
-            )
+            rows2, wit2 = _disk_rows(off, u, coords)
+            collector.add_batch(rows, map(tuple, wit.tolist()))
+            collector.add_batch(rows2, map(tuple, wit2.tolist()))
             # the probe can overshoot into a farther face when a nearby line
-            # cuts it off; halve the step until the expected subset shows up.
-            # vertex candidates are skipped: stepping off a vertex resolves
-            # the second tie as well, and those faces border the adjacent
-            # edge midpoints, which handle them.
+            # cuts it off; halve the step until the expected subset shows up,
+            # for all retry rows of the line together. A retry also stops
+            # once its center no longer moves. Vertex candidates are skipped:
+            # stepping off a vertex resolves the second tie as well, and
+            # those faces border the adjacent edge midpoints, which handle them.
             targets = rows & ~vmask[None, :]
             retry = (
                 rows[:, vmask].any(axis=1)
                 & np.any(rows2 != targets, axis=1)
                 & ~is_vertex
             )
-            for k in np.nonzero(retry)[0]:
-                target = targets[k]
-                delta = 0.25 * float(gaps[k])
-                cx, cy = float(centers[k, 0]), float(centers[k, 1])
-                for _ in range(60):
-                    c2x = cx - delta * nhat[0]
-                    c2y = cy - delta * nhat[1]
-                    if c2x == cx and c2y == cy:
-                        break
-                    params2 = _disk_witness(c2x, c2y, float(u[0]), float(u[1]))
-                    row2 = fam.contains_many(params2, coords)
-                    collector.add(row2, params2)
-                    if np.array_equal(row2, target):
-                        break
-                    delta *= 0.5
+            k = np.nonzero(retry)[0]
+            delta = 0.25 * gaps[k]
+            probe_k, probe_rows, probe_wit = [], [], []
+            for _ in range(60):
+                c2 = centers[k] - delta[:, None] * nhat[None, :]
+                moved = np.any(c2 != centers[k], axis=1)
+                k, delta, c2 = k[moved], delta[moved], c2[moved]
+                if k.size == 0:
+                    break
+                rows_c2, wit_c2 = _disk_rows(c2, u, coords)
+                probe_k.append(k)
+                probe_rows.append(rows_c2)
+                probe_wit.append(wit_c2)
+                miss = np.any(rows_c2 != targets[k], axis=1)
+                k, delta = k[miss], 0.5 * delta[miss]
+            if probe_k:
+                # retry-then-step order, as a one-retry-at-a-time search adds them
+                order = np.argsort(np.concatenate(probe_k), kind="stable")
+                collector.add_batch(
+                    np.concatenate(probe_rows)[order],
+                    map(tuple, np.concatenate(probe_wit)[order].tolist()),
+                )
 
-    return _CsrRangeSet(fam, ground, collector.rows, collector.witnesses)
+    return collector.range_set(fam, ground)
 
 
 def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
@@ -660,7 +649,8 @@ def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
 
     Shrinking a rectangle onto the extreme coordinates of its members leaves
     the induced subset unchanged, so thresholds at point coordinates are
-    exhaustive. Per-axis runs are deduplicated before taking products.
+    exhaustive. The per-axis runs need no dedupe: run (a, b) holds a point
+    at vals[a] and one at vals[b], so its min and max identify it.
     """
     coords = ground.coords
     xs, ys = coords[:, 0], coords[:, 1]
@@ -668,37 +658,27 @@ def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     vx = np.unique(xs)
     vy = np.unique(ys)
 
-    def axis_runs(vals: np.ndarray, col: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
-        runs: list[tuple[np.ndarray, float, float]] = []
-        seen: set[bytes] = set()
-        k = vals.shape[0]
-        for a in range(k):
-            lo = float(vals[a])
-            ge = col >= lo
-            for b in range(a, k):
-                hi = float(vals[b])
-                mask = ge & (col <= hi)
-                key = np.packbits(mask).tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    runs.append((mask, lo, hi))
-        return runs
+    def axis_runs(vals: np.ndarray, col: np.ndarray):
+        lo, hi = np.triu_indices(vals.shape[0])
+        masks = (col[None, :] >= vals[lo, None]) & (col[None, :] <= vals[hi, None])
+        return masks, vals[lo].tolist(), vals[hi].tolist()
 
-    x_runs = axis_runs(vx, xs)
-    y_runs = axis_runs(vy, ys)
-    y_masks = np.stack([mask for mask, _, _ in y_runs])
+    x_masks, x_lo, x_hi = axis_runs(vx, xs)
+    y_masks, y_lo, y_hi = axis_runs(vy, ys)
 
-    collector = _SubsetCollector(n)
+    collector = _SubsetCollector()
     below_x = float(np.nextafter(vx[0], -np.inf))
     below_y = float(np.nextafter(vy[0], -np.inf))
-    collector.add(np.zeros(n, dtype=bool), (below_x, below_x, below_y, below_y))
-    for mask_x, xlo, xhi in x_runs:
-        batch = mask_x[None, :] & y_masks
+    collector.add_batch(
+        np.zeros((1, n), dtype=bool), [(below_x, below_x, below_y, below_y)]
+    )
+    for mask_x, xlo, xhi in zip(x_masks, x_lo, x_hi):
         collector.add_batch(
-            batch, ((xlo, xhi, ylo, yhi) for _, ylo, yhi in y_runs)
+            mask_x[None, :] & y_masks,
+            [(xlo, xhi, ylo, yhi) for ylo, yhi in zip(y_lo, y_hi)],
         )
 
-    return _CsrRangeSet(fam, ground, collector.rows, collector.witnesses)
+    return collector.range_set(fam, ground)
 
 
 FAMILIES: dict[str, RangeFamily] = {

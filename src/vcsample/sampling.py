@@ -54,6 +54,19 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_vc_dim(d: Any) -> int:
+    if not (_is_int(d) and d >= 1):
+        raise ParameterError(f"d must be a positive integer, got {d!r}")
+    return int(d)
+
+
+def _check_constant(C: Any) -> float:
+    C = float(C)
+    if not (math.isfinite(C) and C > 0.0):
+        raise ParameterError(f"C must be positive, got {C}")
+    return C
+
+
 def _check_schema_version(doc: dict[str, Any], version: int, what: str) -> None:
     """A document may omit schema_version; if present it must be `version`."""
     found = doc.get("schema_version", version)
@@ -90,13 +103,8 @@ class SamplingParams:
         object.__setattr__(self, "alpha", _check_unit("alpha", self.alpha))
         object.__setattr__(self, "nu", _check_unit("nu", self.nu, allow_one=True))
         object.__setattr__(self, "delta", _check_unit("delta", self.delta))
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ParameterError(f"d must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        C = float(self.C)
-        if not (math.isfinite(C) and C > 0.0):
-            raise ParameterError(f"C must be positive, got {C}")
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "d", _check_vc_dim(self.d))
+        object.__setattr__(self, "C", _check_constant(self.C))
 
 
 def dist_nu(r: float, s: float, nu: float) -> float:
@@ -159,11 +167,7 @@ def size_sensitive(eps: float, d: int, delta: float, C: float = 1.0) -> int:
     """
     eps = _check_unit("eps", eps)
     delta = _check_unit("delta", delta)
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ParameterError(f"d must be a positive integer, got {d!r}")
-    C = float(C)
-    if not (math.isfinite(C) and C > 0.0):
-        raise ParameterError(f"C must be positive, got {C}")
+    d, C = _check_vc_dim(d), _check_constant(C)
     M = sensitive_level_count(eps)
     body = d * math.log(1.0 / eps) + math.log(M / delta)
     return max(1, math.ceil(C / (eps * eps) * body))

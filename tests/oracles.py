@@ -109,9 +109,12 @@ def disk_subsets(coords: np.ndarray) -> set[frozenset]:
     i, j = pairs[:, 0], pairs[:, 1]
     normal = pts[j] - pts[i]  # line: normal . c = offset
     keep = (normal != 0.0).any(axis=1)
-    normal = normal[keep]
-    offset = ((pts[j] ** 2).sum(1) - (pts[i] ** 2).sum(1))[keep] / 2.0
-    mids = ((pts[i] + pts[j]) / 2.0)[keep]
+    offset = ((pts[j] ** 2).sum(1) - (pts[i] ** 2).sum(1)) / 2.0
+    mids = (pts[i] + pts[j]) / 2.0
+    # duplicate points repeat a (line, midpoint) exactly; its candidates
+    # would only repeat too, so keep one copy
+    lines = np.unique(np.column_stack([normal, offset, mids])[keep], axis=0)
+    normal, offset, mids = lines[:, :2], lines[:, 2], lines[:, 3:]
     L = len(normal)
 
     centers = [pts, mids]
@@ -139,24 +142,25 @@ def disk_subsets(coords: np.ndarray) -> set[frozenset]:
                     centers.append(cross + (scale * span) * quad)
     C = np.concatenate(centers, axis=0)
 
-    dist = ((pts[None, :, :] - C[:, None, :]) ** 2).sum(axis=2)  # (K, n)
-    cut = np.sort(dist, axis=1)
-    # threshold at the smallest achievable radius*radius >= cut, not at the
-    # raw squared distance: two points one ulp apart in squared distance may
-    # not be separable by any float radius at all
-    rad = np.sqrt(cut)
-    bump = rad * rad < cut
-    rad[bump] = np.nextafter(rad[bump], np.inf)
-    thr = rad * rad
-    rows = (dist[:, None, :] <= thr[:, :, None]).reshape(-1, n)
     out = {frozenset()}
     seen = set()
-    packed = np.packbits(rows, axis=1)
-    for k in range(rows.shape[0]):
-        key = packed[k].tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.add(frozenset(np.nonzero(rows[k])[0].tolist()))
+    for lo in range(0, len(C), 4096):  # chunks of centers bound the memory
+        dist = ((pts[None, :, :] - C[lo : lo + 4096, None, :]) ** 2).sum(axis=2)
+        cut = np.sort(dist, axis=1)
+        # threshold at the smallest achievable radius*radius >= cut, not at
+        # the raw squared distance: two points one ulp apart in squared
+        # distance may not be separable by any float radius at all
+        rad = np.sqrt(cut)
+        bump = rad * rad < cut
+        rad[bump] = np.nextafter(rad[bump], np.inf)
+        thr = rad * rad
+        rows = (dist[:, None, :] <= thr[:, :, None]).reshape(-1, n)
+        packed = np.packbits(rows, axis=1)
+        for k in range(rows.shape[0]):
+            key = packed[k].tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.add(frozenset(np.nonzero(rows[k])[0].tolist()))
     return out
 
 

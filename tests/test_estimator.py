@@ -107,6 +107,13 @@ def test_validation_errors():
         estimate_count(
             (0.2, 0.6), COORDS_1D, 10, "approx", "intervals", eps=0.1, delta=2.0
         )
+    # a parameter the guarantee does not take is an error, not ignored
+    with pytest.raises(ParameterError):
+        estimate_count((0.2, 0.6), COORDS_1D, 10, "none", "intervals", delta=0.1)
+    with pytest.raises(ParameterError):
+        estimate_count(
+            (0.2, 0.6), COORDS_1D, 10, "approx", "intervals", eps=0.1, p=7
+        )
 
 
 def test_sample_needs_ground_set():
@@ -133,7 +140,9 @@ def test_count_estimate_validation():
 
 
 def test_json_dict_keys():
-    est = estimate_count((0.2, 0.6), COORDS_1D, 10, "none", "intervals", delta=0.5)
+    est = estimate_count(
+        (0.2, 0.6), COORDS_1D, 10, "approx", "intervals", eps=0.1, delta=0.5
+    )
     doc = est.to_json_dict()
     assert set(doc) == {
         "estimate",

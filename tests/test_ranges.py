@@ -222,6 +222,69 @@ def test_degenerate_dyadic_equals_oracle(fam_name, fixture):
     assert len(enum) <= sauer_shelah_bound(len(coords), fam.vc_dimension)
 
 
+def _dyadic_grid(kx: int, ky: int, step: float) -> np.ndarray:
+    xx, yy = np.meshgrid(
+        step * np.arange(1, kx + 1), step * np.arange(1, ky + 1), indexing="ij"
+    )
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def _collinear_plus_three(seed: int) -> np.ndarray:
+    """12 points on y = x, step 1/16, plus 3 seeded dyadic points off it."""
+    line = 0.0625 * np.arange(1, 13)
+    off = np.random.default_rng(seed).integers(0, 16, size=(3, 2)) * 0.0625
+    assert np.all(off[:, 0] != off[:, 1])
+    return np.concatenate([np.column_stack([line, line]), off])
+
+
+# degenerate inputs above n = 12, still dyadic
+DEGENERATE_SWEEP = {
+    "grid5x5": _dyadic_grid(5, 5, 0.125),
+    "grid6x4": _dyadic_grid(6, 4, 0.125),
+    "collinear12+3": _collinear_plus_three(0),
+    "grid3x3-tripled": np.repeat(_dyadic_grid(3, 3, 0.25), 3, axis=0),
+}
+
+SWEEP_COUNTS = {
+    ("halfplanes", "grid5x5"): 402,
+    ("halfplanes", "grid6x4"): 378,
+    ("halfplanes", "collinear12+3"): 102,
+    ("halfplanes", "grid3x3-tripled"): 58,
+    ("rectangles", "grid5x5"): 226,
+    ("rectangles", "grid6x4"): 211,
+    ("rectangles", "collinear12+3"): 239,
+    ("rectangles", "grid3x3-tripled"): 37,
+    # the 5x5 grid has 4 disk subsets beyond the oracle's 1955
+    ("disks", "grid5x5"): 1959,
+    ("disks", "grid6x4"): 1776,
+    ("disks", "collinear12+3"): 353,
+    ("disks", "grid3x3-tripled"): 108,
+}
+
+
+@pytest.mark.parametrize("fam_name,fixture", sorted(SWEEP_COUNTS))
+def test_degenerate_sweep_against_oracle(fam_name, fixture):
+    coords = DEGENERATE_SWEEP[fixture]
+    fam = family(fam_name)
+    g = GroundSet(coords)
+    rs = induced_ranges(fam, g)
+    enum = rs.member_sets()
+    assert len(enum) == len(rs)  # every row is a distinct subset
+    assert len(rs) == SWEEP_COUNTS[(fam_name, fixture)]
+    oracle = SUBSET_ORACLES[fam_name](coords)
+    if fam_name == "disks":
+        # disk centers are not dyadic, so float disks can cut a few subsets
+        # that exact geometry cannot; each must still be witness-backed, and
+        # none of the exact ones may be missing
+        assert oracle <= enum
+    else:
+        assert enum == oracle
+    for k in range(len(rs)):
+        params = rs.witness(k)
+        got = {i for i in range(len(g)) if contains(fam, params, g.point(i))}
+        assert got == set(rs.members(k).tolist())
+
+
 def test_degenerate_intervals():
     xs = np.array([0.5, 0.5, 0.25, 0.75, 0.25])
     rs = induced_ranges(family("intervals"), GroundSet(xs))
@@ -345,10 +408,12 @@ def test_fractional_weight_counts_multiplicity():
     assert fractional_weight(rs.range_at(k), g) == pytest.approx(2.0 / 3.0)
 
 
-def test_enumeration_deterministic():
-    g = GroundSet(random_coords("disks", 9, 31))
-    a = induced_ranges(family("disks"), g)
-    b = induced_ranges(family("disks"), g)
+@pytest.mark.parametrize("fam_name", ["halfplanes", "rectangles", "disks"])
+def test_enumeration_deterministic(fam_name):
+    # the 5x5 grid sends many disk probes through the step-halving retries
+    g = GroundSet(DEGENERATE_SWEEP["grid5x5"])
+    a = induced_ranges(family(fam_name), g)
+    b = induced_ranges(family(fam_name), g)
     assert [a.members(k).tolist() for k in range(len(a))] == [
         b.members(k).tolist() for k in range(len(b))
     ]

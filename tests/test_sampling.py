@@ -134,6 +134,12 @@ def test_size_validation():
         size_relative(0.1, 0.3, 2, 0.25, C=0.0)
     with pytest.raises(ParameterError):
         size_relative(1.2, 0.3, 2, 0.25)
+    # a bool is not a VC dimension, though isinstance(True, int) holds
+    for size in (size_eps_net, size_eps_approx, size_sensitive):
+        with pytest.raises(ParameterError):
+            size(0.1, True, 0.25)
+    with pytest.raises(ParameterError):
+        size_relative(0.1, 0.3, True, 0.25)
 
 
 def test_sampling_params_validation():
@@ -143,6 +149,8 @@ def test_sampling_params_validation():
         SamplingParams(alpha=0.5, nu=1.5, delta=0.5, d=2)
     with pytest.raises(ParameterError):
         SamplingParams(alpha=0.5, nu=0.5, delta=0.5, d=2.5)
+    with pytest.raises(ParameterError):
+        SamplingParams(alpha=0.5, nu=0.5, delta=0.5, d=True)
     # nu = 1 is allowed (it only normalizes), alpha = 1 is not
     SamplingParams(alpha=0.5, nu=1.0, delta=0.5, d=2)
     with pytest.raises(ParameterError):
