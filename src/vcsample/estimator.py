@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .ranges import GroundSet, RangeFamily, _check_params
-from .sampling import Sample, _check_unit
+from .sampling import Sample, _check_unit, _is_int
 from .verify import _resolve_family
 
 __all__ = ["CountEstimate", "estimate_count", "GUARANTEES", "GUARANTEE_PARAMS"]
@@ -130,7 +130,7 @@ def estimate_count(
         raise ParameterError(
             f"unknown guarantee {guarantee!r}; choose from {GUARANTEES}"
         )
-    if not (isinstance(X_size, (int, np.integer)) and X_size >= 1):
+    if not (_is_int(X_size) and X_size >= 1):
         raise ParameterError(f"X_size must be a positive integer, got {X_size!r}")
     coords = _sample_coords(N, X)
     if coords.shape[1] != fam.ambient_dim:

@@ -261,9 +261,6 @@ class InducedRangeSet:
     def members(self, k: int) -> np.ndarray:
         raise NotImplementedError
 
-    def member_iter(self, k: int) -> Iterator[int]:
-        raise NotImplementedError
-
     def witness(self, k: int) -> tuple[float, ...]:
         raise NotImplementedError
 
@@ -314,11 +311,6 @@ class _IntervalRangeSet(InducedRangeSet):
         mask = (self.group_id >= self.lo[k]) & (self.group_id <= self.hi[k])
         return np.nonzero(mask)[0].astype(np.int64)
 
-    def member_iter(self, k: int) -> Iterator[int]:
-        lo, hi = int(self.lo[k]), int(self.hi[k])
-        gid = self.group_id
-        return (i for i in range(self.n) if lo <= gid[i] <= hi)
-
     def witness(self, k: int) -> tuple[float, ...]:
         if self.hi[k] < self.lo[k]:
             below = float(np.nextafter(self.values[0], -np.inf))
@@ -355,9 +347,6 @@ class _CsrRangeSet(InducedRangeSet):
     def members(self, k: int) -> np.ndarray:
         start, stop = self._matrix.indptr[k], self._matrix.indptr[k + 1]
         return self._matrix.indices[start:stop].astype(np.int64)
-
-    def member_iter(self, k: int) -> Iterator[int]:
-        return iter(self.members(k).tolist())
 
     def witness(self, k: int) -> tuple[float, ...]:
         return self._witnesses[k]
@@ -546,7 +535,9 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
 
     collector = _SubsetCollector()
     span_x = float(np.max(xs) - np.min(xs))
-    far_x = float(np.min(xs) - 2.0 - span_x)
+    # the offset is at least max(2, |min(xs)|), so subtracting it is never
+    # absorbed and far_x stays about 2 or more left of every point
+    far_x = float(np.min(xs) - (2.0 + span_x + abs(np.min(xs))))
     cx0 = float((np.min(xs) + np.max(xs)) / 2.0)
     cy0 = float((np.min(ys) + np.max(ys)) / 2.0)
     rmax = float(np.sqrt(np.max((xs - cx0) ** 2 + (ys - cy0) ** 2)))

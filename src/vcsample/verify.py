@@ -14,7 +14,9 @@ analytic side (square roots, products with eps), and the slack keeps a
 mathematically tight boundary case from flipping to a spurious failure.
 
 The reported worst range is deterministic: margin ties break by
-lexicographic order on the sorted member index list.
+lexicographic order on the sorted member index list, a strict prefix first.
+The empty range (row 0) wins any tie it is in; otherwise the tied range
+with the least member list under Python's list order is reported.
 """
 
 from __future__ import annotations
@@ -127,25 +129,13 @@ def _engine(
 
 
 def _lex_min_range(engine: InducedRangeSet, candidates: np.ndarray) -> int:
-    """Among candidate range ids, the one whose sorted member list is
-    lexicographically least. The empty range wins outright; otherwise the
-    member streams are advanced in lockstep and losers drop out, so large
-    member sets are only walked to the first point of divergence."""
-    if candidates.size == 1:
-        return int(candidates[0])
-    zero = candidates[np.asarray(engine.counts)[candidates] == 0]
-    if zero.size:
-        return int(zero[0])
-    iters = {int(k): engine.member_iter(int(k)) for k in candidates}
-    active = sorted(iters)
-    while len(active) > 1:
-        # -1 marks an exhausted stream: a strict prefix sorts first
-        current = {k: next(iters[k], -1) for k in active}
-        best = min(current.values())
-        active = [k for k in active if current[k] == best]
-        if best == -1:
-            break
-    return active[0]
+    """Among candidate range ids (ascending), the one whose sorted member
+    list is lexicographically least. Row 0 is the empty range, which sorts
+    before every other list; otherwise Python list order decides, which is
+    lexicographic with a strict prefix first."""
+    if candidates[0] == 0:
+        return 0
+    return min(candidates.tolist(), key=lambda k: engine.members(k).tolist())
 
 
 def _report(
@@ -228,44 +218,30 @@ def _relative_margins(
     return margins
 
 
-def _relative_kernel(r_cnt, s_cnt, n, m, eps, p, *, envelope=True, cap=True):
-    # clause (i) on r >= p, clause (ii) on r <= p; the implication check
-    # switches one clause off to judge the other alone
-    off = np.zeros(r_cnt.shape[0], dtype=bool)
-    heavy = r_cnt >= p * n if envelope else off
-    light = r_cnt <= p * n if cap else off
-    return _relative_margins(r_cnt, s_cnt, n, m, eps, eps, p, heavy, light)
+def _relative_kernel(r_cnt, s_cnt, n, m, eps, p):
+    # clause (i) on r >= p, clause (ii) on r <= p
+    return _relative_margins(r_cnt, s_cnt, n, m, eps, eps, p, r_cnt >= p * n, r_cnt <= p * n)
 
 
 def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
-    pn = p * n
     levels = max(1, int(math.floor(1.0 / p)))
+    # thresholds[i - 1] = i*pn, the float products the clauses compare
+    # against; the last one, (levels + 2)*pn, exceeds n >= r_cnt
+    thresholds = np.arange(1, levels + 3) * (p * n)
 
-    heavy = r_cnt >= pn
-    # binding envelope level: largest i with r_cnt >= i*pn, nudged to undo
-    # float floor error
-    i_star = np.floor(r_cnt / pn).astype(np.int64)
-    for _ in range(2):
-        i_star += r_cnt >= (i_star + 1) * pn
-        i_star -= (i_star > 1) & (i_star * pn > r_cnt)
-    i_star = np.maximum(i_star, 1)
-    env_eps = eps / np.sqrt(i_star.astype(np.float64))
+    # binding envelope level of a heavy range: largest i with r_cnt >= i*pn
+    i_star = np.searchsorted(thresholds, r_cnt, side="right")
+    heavy = i_star >= 1
+    env_eps = eps / np.sqrt(i_star[heavy].astype(np.float64))
 
-    # binding cap level: smallest j with r_cnt <= j*pn, forced to 1 for
-    # light ranges so it reuses the plain relative clause (ii) expression
-    j_cap = np.ceil(r_cnt / pn).astype(np.int64)
-    for _ in range(2):
-        j_cap -= (j_cap > 1) & (r_cnt <= (j_cap - 1) * pn)
-        j_cap += r_cnt > j_cap * pn
-    j_cap = np.maximum(j_cap, 1)
-    j_cap[r_cnt <= pn] = 1
+    # binding cap level: smallest j with r_cnt <= j*pn, which is 1 for light
+    # ranges, so they reuse the plain relative clause (ii) expression
+    j_cap = np.searchsorted(thresholds, r_cnt, side="left") + 1
     capped = j_cap <= levels
-    j_f = j_cap.astype(np.float64)
-    cap_eps = eps / np.sqrt(j_f)
-    cap_base = j_f * p
+    j_f = j_cap[capped].astype(np.float64)
 
     return _relative_margins(
-        r_cnt, s_cnt, n, m, env_eps[heavy], cap_eps[capped], cap_base[capped], heavy, capped
+        r_cnt, s_cnt, n, m, env_eps, eps / np.sqrt(j_f), j_f * p, heavy, capped
     )
 
 
@@ -430,12 +406,13 @@ def check_sensitive_implies_net_approx(
     inequality with zero slack while missing the net); flag it loudly.
     """
     engine = _engine(X, N, fam, budget, ranges)
-    if not verify_sensitive(X, N, eps, fam, ranges=engine).passed:
-        return True
     eps = _check_unit("eps", eps)
-    net = verify_eps_net(X, N, eps * eps, fam, ranges=engine)
-    approx = verify_eps_approx(X, N, eps * (1.0 + eps) / 2.0, fam, ranges=engine)
-    return net.passed and approx.passed
+    counts = (*_deviations(engine, N), len(X), N.m)
+    if not np.min(_sensitive_margins(*counts, eps, None)) >= 0.0:
+        return True
+    net = _net_margins(*counts, eps * eps, None)
+    approx = _approx_margins(*counts, eps * (1.0 + eps) / 2.0, None)
+    return bool(np.min(net) >= 0.0 and np.min(approx) >= 0.0)
 
 
 def check_sensitive_implies_relative(
@@ -459,11 +436,15 @@ def check_sensitive_implies_relative(
     eps = _check_unit("eps", eps)
     engine = _engine(X, N, fam, budget, ranges)
     eps_prime = eps * math.sqrt(p)
-    if not verify_sensitive(X, N, eps_prime, fam, ranges=engine).passed:
+    r_cnt, s_cnt = _deviations(engine, N)
+    counts = (r_cnt, s_cnt, len(X), N.m)
+    if not np.min(_sensitive_margins(*counts, eps_prime, None)) >= 0.0:
         return True
-    counts = (*_deviations(engine, N), len(X), N.m, eps, p)
-    clause_i_ok = bool(np.min(_relative_kernel(*counts, cap=False)) >= 0.0)
-    clause_ii_ok = bool(np.min(_relative_kernel(*counts, envelope=False)) >= 0.0)
+    none = np.zeros(r_cnt.shape[0], dtype=bool)
+    clause_i = _relative_margins(*counts, eps, eps, p, r_cnt >= p * len(X), none)
+    clause_ii = _relative_margins(*counts, eps, eps, p, none, r_cnt <= p * len(X))
+    clause_i_ok = bool(np.min(clause_i) >= 0.0)
+    clause_ii_ok = bool(np.min(clause_ii) >= 0.0)
     log.info(
         "sensitive(eps'=%.6g) passed; relative clause (i) %s, "
         "unasserted clause (ii) %s",

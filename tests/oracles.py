@@ -275,3 +275,30 @@ def verify_relative_sensitive(subsets, n, mult, p, eps) -> bool:
         if j <= levels and s > (1.0 + eps / math.sqrt(j)) * (j * p) * (1.0 + _TOL):
             return False
     return True
+
+
+def relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p) -> np.ndarray:
+    """Per-range relative-sensitive margins, scanning every level.
+
+    Level i = 1..floor(1/p)+1 contributes the two-sided envelope at
+    eps/sqrt(i) where r_cnt >= i*pn (and the range is heavy at all), and
+    level i <= floor(1/p) the cap (1 + eps/sqrt(i)) i p where r_cnt <= i*pn.
+    Each range keeps its tightest margin, +inf when no clause applies. The
+    float expressions are the package kernel's, so agreement is exact."""
+    levels = max(1, math.floor(1.0 / p))
+    pn = p * n
+    up, down = 1.0 + _TOL, 1.0 - _TOL
+    out = []
+    for rc, sc in zip(np.asarray(r_cnt).tolist(), np.asarray(s_cnt).tolist()):
+        r, s = rc / n, sc / m
+        margin = math.inf
+        for i in range(1, levels + 2):
+            eps_i = eps / math.sqrt(i)
+            if rc >= i * pn and rc >= pn:
+                lo = s - (1.0 - eps_i) * r * down
+                hi = (1.0 + eps_i) * r * up - s
+                margin = min(margin, lo, hi)
+            if i <= levels and rc <= i * pn:
+                margin = min(margin, (1.0 + eps_i) * (i * p) * up - s)
+        out.append(margin)
+    return np.array(out, dtype=np.float64)

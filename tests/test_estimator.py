@@ -98,6 +98,8 @@ def test_validation_errors():
     with pytest.raises(ParameterError):
         estimate_count((0.2, 0.6), COORDS_1D, 0, "none", "intervals")
     with pytest.raises(ParameterError):
+        estimate_count((0.0, 1.0), [[0.5]], True, "none", "intervals")  # bool size
+    with pytest.raises(ParameterError):
         estimate_count((0.2,), COORDS_1D, 10, "none", "intervals")  # bad witness
     with pytest.raises(ParameterError):
         estimate_count((0.2, 0.6), np.zeros((0, 1)), 10, "none", "intervals")

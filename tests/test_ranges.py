@@ -362,12 +362,16 @@ def test_witnesses_on_nondyadic_degenerate_inputs(fam_name):
 def test_empty_range_always_first():
     """Row 0 is the empty range, and the full index set is always induced;
     the eps-net verifier relies on the latter (the full set is heavy for
-    every eps < 1, so some margin is always finite)."""
+    every eps < 1, so some margin is always finite). Planar families also
+    get coordinates near 1e17, where adding 2.0 to a coordinate is lost to
+    rounding."""
+    huge = [np.array([[1e17, 0.0], [1e17, 1.0]]), np.array([[-1e17, 0.0], [1e17, 1.0]])]
     for fam_name in FAMILIES:
         fam = family(fam_name)
         coords = random_coords(fam_name, 8, 7)
         duplicates = np.concatenate([coords[:3], coords[:3], coords[3:6]])
-        for pts in (coords, duplicates, coords[:1]):
+        extra = huge if fam.ambient_dim == 2 else []
+        for pts in (coords, duplicates, coords[:1], *extra):
             rs = induced_ranges(fam, GroundSet(pts))
             assert rs.counts[0] == 0
             assert rs.members(0).size == 0

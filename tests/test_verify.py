@@ -12,11 +12,14 @@ from vcsample.errors import BudgetExceededError, ParameterError
 from vcsample.ranges import EnumerationBudget, GroundSet, family, induced_ranges
 from vcsample.sampling import Sample, draw_sample
 from vcsample.verify import (
+    PROPERTIES,
     REL_TOL,
+    _relative_sensitive_margins,
     check_sensitive_implies_net_approx,
     check_sensitive_implies_relative,
     verify_eps_approx,
     verify_eps_net,
+    verify_property,
     verify_relative,
     verify_relative_sensitive,
     verify_sensitive,
@@ -135,6 +138,71 @@ def test_worst_range_empty_wins_full_tie():
     assert r.passed
     assert r.worst_range.members == ()
     assert r.worst_margin == pytest.approx(0.3 * _UP, abs=1e-18)
+
+
+def _brute_force_worst(members, N, prop, eps, p):
+    """Worst margin and the least sorted member tuple among the ranges
+    attaining it, with counts taken member by member."""
+    mult = N.multiplicities().tolist()
+    r_cnt = np.array([len(mem) for mem in members], dtype=np.int64)
+    s_cnt = np.array([sum(mult[i] for i in mem) for mem in members], dtype=np.int64)
+    margins = PROPERTIES[prop].margins(r_cnt, s_cnt, N.ground_size, N.m, eps, p)
+    worst = float(np.min(margins))
+    tied = [members[k] for k in np.nonzero(margins == worst)[0]]
+    return worst, min(tied), len(tied)
+
+
+# eps-net draws that miss tie every missed heavy range at margin -1/m
+_TIE_CASES = [
+    # (family, n, m, eps, p)
+    ("intervals", 200, 4, 0.05, 0.1),
+    ("intervals", 40, 30, 0.2, 0.1),
+    ("halfplanes", 12, 3, 0.1, 0.2),
+    ("rectangles", 10, 3, 0.1, 0.2),
+    ("disks", 10, 3, 0.1, 0.2),
+    ("disks", 10, 12, 0.3, 0.25),
+]
+
+
+@pytest.mark.parametrize("fam_name,n,m,eps,p", _TIE_CASES)
+def test_worst_range_tiebreak_against_bruteforce(fam_name, n, m, eps, p):
+    coords = random_coords(fam_name, n, 31)
+    # a duplicated point ties its copies' ranges as well
+    coords = np.concatenate([coords[:-1], coords[:1]])
+    X = GroundSet(coords)
+    rs = induced_ranges(family(fam_name), X)
+    members = [tuple(int(i) for i in rs.members(k)) for k in range(len(rs))]
+    most_tied = 0
+    for seed in range(3):
+        for N in (draw_sample(X, m, 900 + seed), _sample(np.arange(n), n)):
+            for prop in PROPERTIES:
+                r = verify_property(prop, X, N, eps, p, fam_name, ranges=rs)
+                worst, least, ties = _brute_force_worst(members, N, prop, eps, p)
+                assert r.worst_margin == worst
+                assert r.worst_range.members == least, (prop, seed, ties)
+                most_tied = max(most_tied, ties)
+                if N.m == n and prop in ("eps_approx", "sensitive"):
+                    # N = X: zero deviation everywhere, the empty range wins
+                    assert least == ()
+    if m < n / 2:
+        assert most_tied >= 20  # the tie-break had real work to do
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.3, 0.7, 1 / 7])
+def test_relative_sensitive_levels_against_reference(p):
+    # every r_cnt from 0 to n, at n where i*p*n lands on integers (20, 60,
+    # 140, 420) and where it does not, against a scan over every level
+    rng = np.random.default_rng(int(p * 1e6))
+    for n in (1, 3, 7, 10, 20, 21, 60, 100, 140, 420):
+        for _ in range(5):
+            m = int(rng.integers(1, 3 * n + 2))
+            eps = float(rng.choice([0.05, 0.2, 0.5, 0.9]))
+            r_cnt = np.arange(n + 1, dtype=np.int64)
+            jitter = rng.uniform(0.6, 1.4, size=n + 1)
+            s_cnt = np.clip(np.rint(r_cnt * m / n * jitter), 0, m).astype(np.int64)
+            got = _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p)
+            want = oracles.relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p)
+            assert np.array_equal(got, want), (n, m, eps)
 
 
 # ------------------------------------------------------------ N = X passes
