@@ -290,26 +290,38 @@ class _IntervalRangeSet(InducedRangeSet):
         k = self.values.shape[0]
         per_group = np.bincount(self.group_id, minlength=k)
         self._cum = np.concatenate(([0], np.cumsum(per_group)))
+        # point indices grouped by value, ascending within each group
+        self._order = np.argsort(self.group_id, kind="stable")
         lo, hi = np.triu_indices(k)
         # row 0 is the empty range; the (0, -1) sentinel makes the prefix-sum
         # count formula come out to zero for it
-        self.lo = np.concatenate(([0], lo)).astype(np.int64)
-        self.hi = np.concatenate(([-1], hi)).astype(np.int64)
+        # int64 already, so astype copies nothing; the triu arrays are freed
+        # as soon as they are used (16 MB each at n = 2000)
+        self.lo = np.concatenate(([0], lo)).astype(np.int64, copy=False)
+        del lo
+        self.hi = np.concatenate(([-1], hi)).astype(np.int64, copy=False)
+        del hi
         self.counts = self._cum[self.hi + 1] - self._cum[self.lo]
 
-    def sample_counts(self, multiplicities: np.ndarray) -> np.ndarray:
+    def row_id(self, lo, hi):
+        """Row of the run of groups lo..hi (lo <= hi), elementwise."""
         k = self.values.shape[0]
+        return 1 + lo * k - lo * (lo - 1) // 2 + (hi - lo)
+
+    def sample_prefix(self, multiplicities: np.ndarray) -> np.ndarray:
+        """Per-group prefix sums of the multiplicities, length k + 1: the
+        sample counterpart of `_cum`."""
         per_group = np.bincount(
-            self.group_id, weights=multiplicities, minlength=k
+            self.group_id, weights=multiplicities, minlength=self.values.shape[0]
         ).astype(np.int64)
-        prefix = np.concatenate(([0], np.cumsum(per_group)))
+        return np.concatenate(([0], np.cumsum(per_group)))
+
+    def sample_counts(self, multiplicities: np.ndarray) -> np.ndarray:
+        prefix = self.sample_prefix(multiplicities)
         return prefix[self.hi + 1] - prefix[self.lo]
 
     def members(self, k: int) -> np.ndarray:
-        if self.hi[k] < self.lo[k]:
-            return np.zeros(0, dtype=np.int64)
-        mask = (self.group_id >= self.lo[k]) & (self.group_id <= self.hi[k])
-        return np.nonzero(mask)[0].astype(np.int64)
+        return np.sort(self._order[self._cum[self.lo[k]] : self._cum[self.hi[k] + 1]])
 
     def witness(self, k: int) -> tuple[float, ...]:
         if self.hi[k] < self.lo[k]:
@@ -533,8 +545,18 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     uniq = np.unique(coords, axis=0)
     m = uniq.shape[0]
 
+    span_x = float(np.max(xs)) - float(np.min(xs))
+    span_y = float(np.max(ys)) - float(np.min(ys))
+    with np.errstate(over="ignore"):
+        norms = np.sum(uniq * uniq, axis=1)
+    # every distance and bisector term below is a sum of such squares
+    if not (math.isfinite(span_x * span_x + span_y * span_y) and np.isfinite(norms).all()):
+        raise ParameterError(
+            "disks need squared coordinates and squared coordinate spans "
+            "that are finite in float64 (|x|, |y| and spans below about 1e154)"
+        )
+
     collector = _SubsetCollector()
-    span_x = float(np.max(xs) - np.min(xs))
     # the offset is at least max(2, |min(xs)|), so subtracting it is never
     # absorbed and far_x stays about 2 or more left of every point
     far_x = float(np.min(xs) - (2.0 + span_x + abs(np.min(xs))))
@@ -551,8 +573,7 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     if m < 2:
         return collector.range_set(fam, ground)
 
-    span = max(span_x, float(np.max(ys) - np.min(ys)), 1.0)
-    norms = np.sum(uniq * uniq, axis=1)
+    span = max(span_x, span_y, 1.0)
     for i in range(m):
         u = uniq[i]
         others = np.delete(uniq, i, axis=0)

@@ -1,12 +1,20 @@
 """Exhaustive verifiers for sampling guarantees, and the property registry.
 
 Each guarantee is one `Property` record in `PROPERTIES`: its names, whether
-it takes p, its sample size and its margin kernel. Every verifier runs the
-same path: enumerate every induced range of the ground set, count ground
-and sample points per range, evaluate the guarantee's defining
-inequalities on those exact integer counts (one float division at
-comparison time, no accumulation), and report the tightest constraint as a
-signed margin. `passed` is exactly `worst_margin >= 0`.
+it takes p, its sample size and its margin kernel. The kernel path
+enumerates every induced range of the ground set, counts ground and sample
+points per range, evaluates the guarantee's defining inequalities on those
+exact integer counts (one float division at comparison time, no
+accumulation), and reports the tightest constraint as a signed margin.
+`passed` is exactly `worst_margin >= 0`.
+
+On intervals, eps_net and eps_approx take a prefix-sum fast path instead
+(`Property.interval_worst`). The worst margin comes from the per-value
+prefix sums of ground and sample counts in O(n), and its tied ranges from
+the same sums. The integer counts and the final float expressions are the
+kernel's, so the reports are bit-identical to the kernel path's. The
+Monte-Carlo harness asks only for the worst margin and skips the
+tie-break on every property.
 
 Inequalities carry a relative slack of REL_TOL in favor of passing: true
 weights are exact rationals, so near-ties only arise from rounding on the
@@ -35,6 +43,7 @@ from .ranges import (
     InducedRange,
     InducedRangeSet,
     RangeFamily,
+    _IntervalRangeSet,
     family as family_by_name,
     induced_ranges,
 )
@@ -139,10 +148,9 @@ def _lex_min_range(engine: InducedRangeSet, candidates: np.ndarray) -> int:
 
 
 def _report(
-    prop: str, engine: InducedRangeSet, margins: np.ndarray
+    prop: str, engine: InducedRangeSet, worst: float, tied: np.ndarray
 ) -> VerificationReport:
-    worst = float(np.min(margins))
-    tied = np.nonzero(margins == worst)[0]
+    """Report for a worst margin and its tied range ids (ascending)."""
     k = _lex_min_range(engine, tied)
     return VerificationReport(
         property=prop,
@@ -245,6 +253,60 @@ def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
     )
 
 
+# Interval fast paths: the worst margin and, with ties set, the ascending
+# ids of every range attaining it, from the per-group prefix sums `cum`
+# (ground) and P (sample), where run (lo, hi) holds cum[hi+1] - cum[lo]
+# points. None sends the caller to the kernel path.
+
+
+def _interval_net_worst(engine, P, n, m, eps, ties):
+    cum = engine._cum
+    k = cum.shape[0] - 1
+    # the kernel's heavy test r_cnt >= eps*n, on integer counts
+    need = math.ceil(eps * n)
+    # end = hi + 1 of the shortest heavy run from each lo; hits only grow
+    # with hi, so that run has the fewest hits of the runs from lo
+    end = np.searchsorted(cum, cum[:-1] + need, side="left")
+    lo = np.nonzero(end <= k)[0]
+    end = end[lo]
+    hits = P[end] - P[lo]
+    least = int(hits.min())
+    worst = float((least - 1) / m)
+    if not ties:
+        return worst, None
+    at = hits == least
+    lo, end = lo[at], end[at]
+    # from each such lo, the tied runs end anywhere up to the last hi whose
+    # run still has `least` hits; ids of one lo are consecutive
+    last = np.searchsorted(P, P[lo] + least, side="right") - 1
+    first = engine.row_id(lo, end - 1)
+    run = last - end + 1
+    offsets = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
+    return worst, np.repeat(first, run) + offsets
+
+
+def _interval_approx_worst(engine, P, n, m, eps, ties):
+    # D[b] - D[a] = r_cnt*m - s_cnt*n for the run of groups a..b-1, so the
+    # largest deviation numerator is max D - min D
+    D = engine._cum * m - P * n
+    top, bottom = int(D.max()), int(D.min())
+    numer = top - bottom
+    scale = float(n * m)
+    worst = eps * _UP - float(numer) / scale
+    if numer > 0 and eps * _UP - float(numer - 1) / scale == worst:
+        # smaller numerators round to the same margin and would tie too
+        return None
+    if not ties:
+        return worst, None
+    if numer == 0:
+        # every range deviates by 0, and the empty range wins that tie
+        return worst, np.zeros(1, dtype=np.int64)
+    i = np.flatnonzero(D == top)[:, None]
+    j = np.flatnonzero(D == bottom)[None, :]
+    lo, end = np.minimum(i, j), np.maximum(i, j)
+    return worst, np.sort(engine.row_id(lo, end - 1), axis=None)
+
+
 def _size_relative(d, eps, p, delta, C):
     # one sample size serves every level of the relative-sensitive ladder
     return size_relative(p, eps, d, delta, C)
@@ -254,14 +316,20 @@ def _size_relative(d, eps, p, delta, C):
 class Property:
     """One guarantee: its canonical name, the other spellings accepted for
     it, whether it takes a weight threshold p, its sample size
-    size(d, eps, p, delta, C) and its margin kernel
-    margins(r_cnt, s_cnt, n, m, eps, p)."""
+    size(d, eps, p, delta, C), its margin kernel
+    margins(r_cnt, s_cnt, n, m, eps, p) and, optionally, an interval fast
+    path interval_worst(engine, P, n, m, eps, ties) that returns the worst
+    margin and the tied range ids (None unless ties), or None to defer to
+    the kernel."""
 
     name: str
     aliases: tuple[str, ...]
     needs_p: bool
     size: Callable[[int, float, float | None, float, float], int] = field(repr=False)
     margins: Callable[..., np.ndarray] = field(repr=False)
+    interval_worst: Callable[..., tuple[float, np.ndarray | None] | None] | None = field(
+        default=None, repr=False
+    )
 
 
 PROPERTIES: dict[str, Property] = {
@@ -270,10 +338,12 @@ PROPERTIES: dict[str, Property] = {
         Property(
             "eps_net", ("net", "eps-net"), False,
             lambda d, eps, p, delta, C: size_eps_net(eps, d, delta, C), _net_margins,
+            _interval_net_worst,
         ),
         Property(
             "eps_approx", ("approx", "eps-approx"), False,
             lambda d, eps, p, delta, C: size_eps_approx(eps, d, delta, C), _approx_margins,
+            _interval_approx_worst,
         ),
         Property(
             "sensitive", (), False,
@@ -302,13 +372,30 @@ def canonical_property(name: str) -> str:
         ) from None
 
 
+def _worst_margin(
+    prop: Property, engine: InducedRangeSet, N: Sample, eps: float, p: float | None,
+    ties: bool,
+) -> tuple[float, np.ndarray | None]:
+    """The worst margin of N over every range of the engine and, if ties is
+    set, the ascending ids of the ranges attaining it. Arguments are taken
+    as already checked."""
+    if prop.interval_worst is not None and isinstance(engine, _IntervalRangeSet):
+        P = engine.sample_prefix(N.multiplicities())
+        found = prop.interval_worst(engine, P, engine.n, N.m, eps, ties)
+        if found is not None:
+            return found
+    margins = prop.margins(*_deviations(engine, N), engine.n, N.m, eps, p)
+    worst = float(np.min(margins))
+    return worst, (np.nonzero(margins == worst)[0] if ties else None)
+
+
 def verify_property(
     prop: str, X: GroundSet, N: Sample, eps: float, p: float | None,
     fam: RangeFamily | str, *,
     budget: EnumerationBudget | None = None, ranges: InducedRangeSet | None = None,
 ) -> VerificationReport:
     """Exhaustively check one property, named by any accepted spelling: the
-    engine's per-range counts through the property's margin kernel into a
+    worst margin over the engine's ranges and its tie-broken range, as a
     report. p is ignored by the properties that do not take it."""
     prop = PROPERTIES[canonical_property(prop)]
     if prop.needs_p:
@@ -317,9 +404,7 @@ def verify_property(
         p = _check_unit("p", p)
     eps = _check_unit("eps", eps)
     engine = _engine(X, N, fam, budget, ranges)
-    r_cnt, s_cnt = _deviations(engine, N)
-    margins = prop.margins(r_cnt, s_cnt, len(X), N.m, eps, p)
-    return _report(prop.name, engine, margins)
+    return _report(prop.name, engine, *_worst_margin(prop, engine, N, eps, p, ties=True))
 
 
 def verify_eps_net(

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from vcsample.cli import main as cli_main
 from vcsample.harness import (
@@ -41,6 +42,8 @@ from vcsample.verify import (
 )
 
 from oracles import SUBSET_ORACLES
+
+pytestmark = pytest.mark.acceptance
 
 FAMS = ["disks", "halfplanes", "intervals", "rectangles"]
 

@@ -188,6 +188,17 @@ def test_verify_budget_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_verify_disks_extreme_coordinates(tmp_path, capsys):
+    # squared spans overflow float64; the disk enumerator refuses the input
+    points = str(tmp_path / "p.csv")
+    write_points_csv(points, GroundSet(np.array([[-1.5e308, 0.0], [1.5e308, 1.0]])))
+    sample = str(tmp_path / "s.json")
+    write_sample_json(sample, _fixed_sample([0, 1], 2))
+    err = _rejected(capsys, ["verify", "--property", "approx", "--points", points,
+                             "--sample", sample, "--family", "disks", "--eps", "0.3"])
+    assert "1e154" in err
+
+
 # ---------------------------------------------------------------- query
 
 

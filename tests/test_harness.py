@@ -10,6 +10,7 @@ from vcsample.harness import (
     ExperimentConfig,
     ExperimentResult,
     SourceSpec,
+    _run_cell,
     calibrate_constant,
     canonical_property,
     generate_ground_set,
@@ -19,13 +20,15 @@ from vcsample.harness import (
     size_table_csv,
     trial_seed,
 )
-from vcsample.ranges import GroundSet, write_points_csv
+from vcsample.ranges import GroundSet, family, induced_ranges, write_points_csv
 from vcsample.sampling import (
+    draw_sample,
     size_eps_approx,
     size_eps_net,
     size_relative,
     size_sensitive,
 )
+from vcsample.verify import PROPERTIES, verify_property
 
 
 def _config(**kw):
@@ -247,6 +250,30 @@ def test_run_experiment_cell_contents():
     margins = [d["worst_margin"] for d in cell["trial_details"]]
     assert cell["mean_worst_margin"] == pytest.approx(float(np.mean(margins)))
     assert cell["max_worst_margin"] == max(margins)
+
+
+@pytest.mark.parametrize("prop", list(PROPERTIES))
+@pytest.mark.parametrize("fam_name,n", [("intervals", 80), ("halfplanes", 24)])
+def test_run_cell_matches_verify_property(fam_name, n, prop):
+    # trials keep only the margin; it must be the full report's
+    fam = family(fam_name)
+    outcomes = set()
+    for C in (0.001, 0.02, 2.0):
+        cfg = _config(family=fam_name, property=prop, source=SourceSpec(kind="uniform", n=n),
+                      eps_values=(0.1, 0.3), p_values=(0.2,), trials=6, C=C)
+        X = generate_ground_set(cfg.source, fam.ambient_dim, cfg.seed)
+        engine = induced_ranges(fam, X)
+        for cell_index, (eps, p) in enumerate(cfg.cells()):
+            m = sample_size_for(prop, fam.vc_dimension, eps, p, cfg.delta, C)
+            failures, details = _run_cell(cfg, X, engine, cell_index, eps, p, m, cfg.trials)
+            assert failures == sum(not d["passed"] for d in details)
+            for d in details:
+                N = draw_sample(X, m, d["seed"])
+                r = verify_property(prop, X, N, eps, p, fam_name, ranges=engine)
+                assert (d["passed"], d["worst_margin"]) == (r.passed, r.worst_margin)
+                assert type(d["worst_margin"]) is float
+                outcomes.add(r.passed)
+    assert outcomes == {True, False}  # passing and failing trials both compared
 
 
 def test_run_experiment_take_all_never_fails():

@@ -356,6 +356,34 @@ def test_witnesses_on_nondyadic_degenerate_inputs(fam_name):
             assert got == set(int(i) for i in rs.members(k))
 
 
+EXTREME_INPUTS = [
+    # squared norms and squared spans overflow float64
+    [[1e300, 0.0], [1e300, 1e300]],
+    [[-1.5e308, 0.0], [1.5e308, 1.0]],
+    # squared norms are finite, the squared x span is not (the full disk's
+    # radius overflowed here)
+    [[-1.29e154, 0.0], [1.29e154, 1.0], [5.43e153, 7.15e153], [1.85e153, 3.98e153],
+     [7.56e152, 7.54e153]],
+]
+
+
+@pytest.mark.parametrize("fam_name", ["halfplanes", "rectangles", "disks"])
+@pytest.mark.parametrize("pts", EXTREME_INPUTS)
+def test_witnesses_at_extreme_coordinates(fam_name, pts):
+    fam = family(fam_name)
+    g = GroundSet(np.array(pts))
+    if fam_name == "disks":
+        with pytest.raises(ParameterError, match="1e154"):
+            induced_ranges(fam, g)
+        return
+    rs = induced_ranges(fam, g)
+    if len(g) == 2:
+        assert len(rs) == 4
+    for k in range(len(rs)):
+        got = {i for i in range(len(g)) if contains(fam, rs.witness(k), g.point(i))}
+        assert got == set(int(i) for i in rs.members(k))
+
+
 # ------------------------------------------------------------- range sets
 
 
@@ -381,6 +409,22 @@ def test_empty_range_always_first():
             assert full.size == 1
             assert rs.members(full[0]).tolist() == list(range(rs.n))
             assert all(contains(fam, rs.witness(full[0]), row) for row in rows)
+
+
+@pytest.mark.parametrize("distinct", [None, 1, 3, 12])
+def test_interval_members_match_mask(distinct):
+    # members(k) slices the points sorted by value; the mask over group ids
+    # is the direct definition
+    rng = np.random.default_rng(0 if distinct is None else distinct)
+    for n in (1, 7, 33, 60) if distinct is None else (1, 7, 60, 150):
+        xs = rng.random(n) if distinct is None else rng.integers(0, distinct, n).astype(float)
+        rs = induced_ranges(family("intervals"), GroundSet(xs))
+        assert rs.values.shape[0] <= 60
+        for k in range(len(rs)):
+            mask = (rs.group_id >= rs.lo[k]) & (rs.group_id <= rs.hi[k])
+            got = rs.members(k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.nonzero(mask)[0])
 
 
 def test_sample_counts_matches_bruteforce():

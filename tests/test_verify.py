@@ -1,10 +1,12 @@
 """Exhaustive verifiers: worked examples, tie-breaks, oracle agreement."""
 
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import random_coords
@@ -14,7 +16,10 @@ from vcsample.sampling import Sample, draw_sample
 from vcsample.verify import (
     PROPERTIES,
     REL_TOL,
+    _deviations,
     _relative_sensitive_margins,
+    _report,
+    _worst_margin,
     check_sensitive_implies_net_approx,
     check_sensitive_implies_relative,
     verify_eps_approx,
@@ -396,3 +401,78 @@ def test_approx_margin_matches_worst_deviation(seed):
         for k in range(len(rs))
     )
     assert r.worst_margin == pytest.approx(eps * _UP - worst_dev, abs=1e-15)
+
+
+# ------------------------------------------------------ interval fast path
+
+
+def _kernel_report(prop, rs, N, eps):
+    """The kernel path: every range's counts through the margin kernel."""
+    margins = PROPERTIES[prop].margins(*_deviations(rs, N), rs.n, N.m, eps, None)
+    worst = float(np.min(margins))
+    tied = np.nonzero(margins == worst)[0]
+    return _report(prop, rs, worst, tied), worst, tied
+
+
+@st.composite
+def _interval_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    distinct = draw(st.sampled_from([None, 1, 2, 3, 8]))
+    xs = rng.random(n) if distinct is None else rng.integers(0, distinct, n) / 4.0
+    kind = draw(st.sampled_from(["draw", "one", "take_all"]))
+    if kind == "take_all":
+        indices = np.arange(n)
+    else:
+        m = 1 if kind == "one" else draw(st.integers(min_value=1, max_value=3 * n))
+        indices = rng.integers(0, n, m)
+    if n > 1 and draw(st.booleans()):
+        eps = draw(st.integers(min_value=1, max_value=n - 1)) / n
+    else:
+        eps = draw(st.floats(min_value=1e-3, max_value=0.999))
+    return xs.tolist(), indices.tolist(), eps
+
+
+@given(_interval_cases())
+@example(([0.5] * 7, [0, 3, 3], 0.3))  # k = 1
+@example((list(range(9)), list(range(9)), 0.4))  # take_all
+@example(([0.1, 0.2, 0.2, 0.7, 0.9], [3], 0.5))  # m = 1
+@example((list(range(40)), [0, 5, 5, 17, 33, 39], 0.25))  # eps*n = 10 exactly
+def test_interval_fast_path_matches_kernel(case):
+    xs, indices, eps = case
+    X = GroundSet(np.asarray(xs))
+    rs = induced_ranges(family("intervals"), X)
+    N = _sample(indices, len(xs))
+    P = rs.sample_prefix(N.multiplicities())
+    for prop in ("eps_net", "eps_approx"):
+        fast = verify_property(prop, X, N, eps, None, "intervals", ranges=rs)
+        kernel, worst, tied = _kernel_report(prop, rs, N, eps)
+        assert json.dumps(fast.to_json_dict()) == json.dumps(kernel.to_json_dict())
+        # the hook itself: same worst margin and exactly the kernel's ties
+        # (the empty range alone stands for a tie it is in)
+        found = PROPERTIES[prop].interval_worst(rs, P, len(xs), N.m, eps, True)
+        assert found is not None and found[0] == worst
+        want = tied[:1] if tied[0] == 0 else tied
+        assert np.array_equal(found[1], want)
+        assert _worst_margin(PROPERTIES[prop], rs, N, eps, None, False) == (worst, None)
+
+
+def test_interval_row_id_matches_enumeration():
+    for k in range(1, 51):
+        rs = induced_ranges(family("intervals"), GroundSet(np.arange(float(k))))
+        assert np.array_equal(rs.row_id(rs.lo[1:], rs.hi[1:]), np.arange(1, len(rs)))
+
+
+def test_interval_approx_guard_defers_to_kernel():
+    # at n*m = 2**55 the margins of numerators 2**42 and 2**42 - 1 round to
+    # the same float, so the fast path cannot tell its ties apart
+    rs = induced_ranges(family("intervals"), GroundSet(np.arange(4.0)))
+    m = 2**53
+    mult = np.array([2**51 + 2**40, 2**51 - 2**40, 2**51, 2**51], dtype=np.int64)
+    N = SimpleNamespace(m=m, multiplicities=lambda: mult)
+    prop = PROPERTIES["eps_approx"]
+    assert prop.interval_worst(rs, rs.sample_prefix(mult), 4, m, 0.5, True) is None
+    margins = prop.margins(*_deviations(rs, N), 4, m, 0.5, None)
+    worst = float(np.min(margins))
+    got = _worst_margin(prop, rs, N, 0.5, None, True)
+    assert got[0] == worst and np.array_equal(got[1], np.nonzero(margins == worst)[0])
