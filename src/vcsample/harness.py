@@ -311,19 +311,16 @@ def _run_cell(
     prop = PROPERTIES[cfg.property]
     failures = 0
     details: list[dict[str, Any]] = []
+    if cfg.take_all:
+        N = Sample(indices=np.arange(n, dtype=np.int64), m=n, seed=cfg.seed, ground_size=n)
     for t in range(trials):
         seed_t = trial_seed(cfg.seed, cell_index, t)
-        if cfg.take_all:
-            N = Sample(
-                indices=np.arange(n, dtype=np.int64), m=n, seed=seed_t, ground_size=n
-            )
-        else:
+        if not cfg.take_all:
             N = draw_sample(X, m, seed_t)
         # only the margin is kept, so the tie-break is skipped
         worst, _ = _worst_margin(prop, engine, N, eps, p, ties=False)
         passed = worst >= 0.0
-        if not passed:
-            failures += 1
+        failures += not passed
         details.append(
             {"trial": t, "seed": seed_t, "passed": passed, "worst_margin": worst}
         )

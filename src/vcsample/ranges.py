@@ -337,19 +337,15 @@ class _CsrRangeSet(InducedRangeSet):
         self,
         fam: RangeFamily,
         ground: GroundSet,
-        rows: list[np.ndarray],
+        sizes: np.ndarray | list[int],
+        indices: np.ndarray,
         witnesses: list[tuple[float, ...]],
     ):
         super().__init__(fam, ground)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.shape[0] for r in rows])
-        indices = (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        ).astype(np.int64)
+        indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
         data = np.ones(indices.shape[0], dtype=np.int64)
-        self._matrix = sp.csr_matrix(
-            (data, indices, indptr), shape=(len(rows), self.n)
-        )
+        self._matrix = sp.csr_matrix((data, indices, indptr), shape=(len(sizes), self.n))
         self._witnesses = witnesses
         self.counts = np.diff(indptr)
 
@@ -407,7 +403,8 @@ def enumerate_induced_ranges(
 
 
 class _SubsetCollector:
-    """The one dedupe path of the planar enumerators.
+    """The dedupe path of the halfplane and disk enumerators (rectangles
+    produce each subset once and need none).
 
     Candidates arrive only as batches: a boolean (k, n) row matrix and its k
     witnesses. Rows are keyed by their packed bits, and the first witness of
@@ -430,7 +427,8 @@ class _SubsetCollector:
                 self.witnesses.append(witness)
 
     def range_set(self, fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
-        return _CsrRangeSet(fam, ground, self.rows, self.witnesses)
+        sizes = [r.shape[0] for r in self.rows]
+        return _CsrRangeSet(fam, ground, sizes, np.concatenate(self.rows), self.witnesses)
 
 
 def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
@@ -451,13 +449,18 @@ def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     xs, ys = coords[:, 0], coords[:, 1]
     n = len(ground)
     uniq = np.unique(coords, axis=0)
+    # |a*x + b*y| <= max|x| + max|y|, so the keys and the empty range's c stay finite
+    if not float(np.max(np.abs(xs))) + float(np.max(np.abs(ys))) < np.finfo(np.float64).max:
+        raise ParameterError("halfplanes need max|x| + max|y| below about 1.8e308")
 
     if uniq.shape[0] >= 2:
         iu, ju = np.triu_indices(uniq.shape[0], k=1)
-        diff = uniq[ju] - uniq[iu]
+        with np.errstate(over="ignore"):
+            diff = uniq[ju] - uniq[iu]
+        far = ~np.isfinite(diff).all(axis=1)  # halved there only: halving loses subnormals
+        diff[far] = uniq[ju[far]] / 2.0 - uniq[iu[far]] / 2.0
         phi = np.arctan2(diff[:, 1], diff[:, 0])
-        crit = np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]) % _TWO_PI
-        crit = np.unique(crit)
+        crit = np.unique(np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]) % _TWO_PI)
         mids = (crit[:-1] + crit[1:]) / 2.0
         wrap = ((crit[-1] + crit[0] + _TWO_PI) / 2.0) % _TWO_PI
         directions = np.concatenate([mids, [wrap]])
@@ -657,40 +660,38 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
 
 
 def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
-    """Product sweep over all closed axis-parallel rectangles.
+    """Tight-box sweep over all closed axis-parallel rectangles.
 
-    Shrinking a rectangle onto the extreme coordinates of its members leaves
-    the induced subset unchanged, so thresholds at point coordinates are
-    exhaustive. The per-axis runs need no dedupe: run (a, b) holds a point
-    at vals[a] and one at vals[b], so its min and max identify it.
+    A nonempty subset is induced iff its members' bounding box induces it,
+    and that box is unique. Over the sorted distinct values, box (a, b) x
+    (c, d) is such a tight box when it has a member in x-groups a and b and
+    in y-groups c and d, so the tight boxes list every subset once, no dedupe.
     """
     coords = ground.coords
-    xs, ys = coords[:, 0], coords[:, 1]
     n = len(ground)
-    vx = np.unique(xs)
-    vy = np.unique(ys)
+    vx, gx = np.unique(coords[:, 0], return_inverse=True)
+    vy, gy = np.unique(coords[:, 1], return_inverse=True)
+    occupied = np.zeros((vx.shape[0], vy.shape[0]), dtype=bool)
+    occupied[gx, gy] = True
+    # y-run j is c[j]..d[j]; side[a, j]: x-group a meets it; present: y-groups of run a..b
+    c, d = np.triu_indices(vy.shape[0])
+    cum = np.cumsum(np.pad(occupied, ((0, 0), (1, 0))), axis=1)
+    side = cum[:, d + 1] > cum[:, c]
+    vxl, y_runs = vx.tolist(), list(zip(vy[c].tolist(), vy[d].tolist()))
 
-    def axis_runs(vals: np.ndarray, col: np.ndarray):
-        lo, hi = np.triu_indices(vals.shape[0])
-        masks = (col[None, :] >= vals[lo, None]) & (col[None, :] <= vals[hi, None])
-        return masks, vals[lo].tolist(), vals[hi].tolist()
+    below_x, below_y = (float(np.nextafter(v[0], -np.inf)) for v in (vx, vy))
+    sizes, indices, witnesses = [[0]], [], [(below_x, below_x, below_y, below_y)]
+    for a in range(vx.shape[0]):
+        present = np.zeros(vy.shape[0], dtype=bool)
+        for b in range(a, vx.shape[0]):
+            present |= occupied[b]
+            j = np.nonzero(side[a] & side[b] & present[c] & present[d])[0]
+            rows = (gx >= a) & (gx <= b) & (gy >= c[j, None]) & (gy <= d[j, None])
+            sizes.append(np.count_nonzero(rows, axis=1))
+            indices.append(np.flatnonzero(rows) % n)
+            witnesses += [(vxl[a], vxl[b]) + y_runs[i] for i in j.tolist()]
 
-    x_masks, x_lo, x_hi = axis_runs(vx, xs)
-    y_masks, y_lo, y_hi = axis_runs(vy, ys)
-
-    collector = _SubsetCollector()
-    below_x = float(np.nextafter(vx[0], -np.inf))
-    below_y = float(np.nextafter(vy[0], -np.inf))
-    collector.add_batch(
-        np.zeros((1, n), dtype=bool), [(below_x, below_x, below_y, below_y)]
-    )
-    for mask_x, xlo, xhi in zip(x_masks, x_lo, x_hi):
-        collector.add_batch(
-            mask_x[None, :] & y_masks,
-            [(xlo, xhi, ylo, yhi) for ylo, yhi in zip(y_lo, y_hi)],
-        )
-
-    return collector.range_set(fam, ground)
+    return _CsrRangeSet(fam, ground, np.concatenate(sizes), np.concatenate(indices), witnesses)
 
 
 FAMILIES: dict[str, RangeFamily] = {

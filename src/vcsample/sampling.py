@@ -221,8 +221,10 @@ def draw_sample(X: GroundSet, m: int, seed: int, params: Any = None) -> Sample:
 
     Deterministic given seed; no global RNG state is touched.
     """
-    if m < 1:
-        raise ParameterError(f"sample size must be >= 1, got {m}")
+    if not (_is_int(m) and m >= 1):
+        raise ParameterError(f"sample size must be an integer >= 1, got {m!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(X), size=m, dtype=np.int64)
     return Sample(indices=idx, m=int(m), seed=int(seed), ground_size=len(X), params=params)

@@ -125,11 +125,15 @@ def test_draw_writes_sample(points_1d, tmp_path, capsys):
         assert json.load(fh)["indices"] == doc["indices"]
 
 
-def test_draw_missing_points_file(tmp_path, capsys):
+def test_draw_missing_points_file(points_1d, tmp_path, capsys):
     out = str(tmp_path / "s.json")
     assert main(["draw", "--points", str(tmp_path / "nope.csv"), "--m", "3",
                  "--seed", "1", "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
+    # bad --m or --seed: exit 2 with one error line, not NumPy's ValueError
+    for m, seed in [("3", "-1"), ("0", "1")]:
+        _rejected(capsys, ["draw", "--points", points_1d, "--m", m, "--seed", seed,
+                           "--out", out])
 
 
 # ---------------------------------------------------------------- verify
@@ -197,6 +201,11 @@ def test_verify_disks_extreme_coordinates(tmp_path, capsys):
     err = _rejected(capsys, ["verify", "--property", "approx", "--points", points,
                              "--sample", sample, "--family", "disks", "--eps", "0.3"])
     assert "1e154" in err
+    # halfplanes refuse max|x| + max|y| beyond float64, where a*x + b*y can overflow
+    write_points_csv(points, GroundSet(np.array([[1.5e308, 0.0], [0.0, 1.5e308]])))
+    err = _rejected(capsys, ["verify", "--property", "approx", "--points", points,
+                             "--sample", sample, "--family", "halfplanes", "--eps", "0.3"])
+    assert "1.8e308" in err
 
 
 # ---------------------------------------------------------------- query

@@ -22,6 +22,7 @@ from vcsample.harness import (
 )
 from vcsample.ranges import GroundSet, family, induced_ranges, write_points_csv
 from vcsample.sampling import (
+    Sample,
     draw_sample,
     size_eps_approx,
     size_eps_net,
@@ -282,6 +283,19 @@ def test_run_experiment_take_all_never_fails():
     cell = res.cells[0]
     assert cell["sample_size"] == 40  # the whole ground set
     assert cell["failure_count"] == 0
+
+
+@pytest.mark.parametrize("prop", list(PROPERTIES))
+@pytest.mark.parametrize("fam_name,n", [("intervals", 40), ("halfplanes", 20)])
+def test_run_experiment_take_all_matches_verify_property(fam_name, n, prop):
+    cfg = _config(family=fam_name, property=prop, source=SourceSpec(kind="uniform", n=n),
+                  take_all=True, eps_values=(0.1, 0.3), p_values=(0.2,), trials=3)
+    X = generate_ground_set(cfg.source, family(fam_name).ambient_dim, cfg.seed)
+    N = Sample(indices=np.arange(n), m=n, seed=0, ground_size=n)
+    for cell, (eps, p) in zip(run_experiment(cfg).cells, cfg.cells()):
+        assert cell["sample_size"] == n
+        want = verify_property(prop, X, N, eps, p, fam_name).worst_margin
+        assert [d["worst_margin"] for d in cell["trial_details"]] == [want] * 3
 
 
 def test_run_experiment_budget_error_marks_cells():

@@ -262,6 +262,15 @@ SWEEP_COUNTS = {
 }
 
 
+def _assert_tight_boxes(rs, coords):
+    """Every nonempty rectangle's witness is its members' bounding box."""
+    for k in range(len(rs)):
+        pts = coords[rs.members(k)]
+        if len(pts):
+            x, y = pts[:, 0], pts[:, 1]
+            assert rs.witness(k) == (x.min(), x.max(), y.min(), y.max())
+
+
 @pytest.mark.parametrize("fam_name,fixture", sorted(SWEEP_COUNTS))
 def test_degenerate_sweep_against_oracle(fam_name, fixture):
     coords = DEGENERATE_SWEEP[fixture]
@@ -279,6 +288,8 @@ def test_degenerate_sweep_against_oracle(fam_name, fixture):
         assert oracle <= enum
     else:
         assert enum == oracle
+    if fam_name == "rectangles":
+        _assert_tight_boxes(rs, coords)
     for k in range(len(rs)):
         params = rs.witness(k)
         got = {i for i in range(len(g)) if contains(fam, params, g.point(i))}
@@ -327,6 +338,8 @@ def test_enumeration_matches_oracle_random(fam_name, nmax):
             coords if coords.ndim == 2 else coords.reshape(-1, 1)
         ), f"{fam_name} trial {trial} (n={n})"
         assert len(enum) <= growth_bound(n, fam.vc_dimension)
+        if fam_name == "rectangles":
+            _assert_tight_boxes(rs, coords)
 
 
 @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
@@ -364,6 +377,11 @@ EXTREME_INPUTS = [
     # radius overflowed here)
     [[-1.29e154, 0.0], [1.29e154, 1.0], [5.43e153, 7.15e153], [1.85e153, 3.98e153],
      [7.56e152, 7.54e153]],
+    # halfplane difference vectors overflow float64; taken as they are, they
+    # bend the critical angles and 2 of the 32 halfplane subsets go missing
+    (np.random.default_rng(0).uniform(-1, 1, (2, 6)).T * [1.5e308, 1e307]).tolist(),
+    # max|x| + max|y| overflows, and with it the halfplane keys a*x + b*y
+    [[1.5e308, 0.0], [0.0, 1.5e308]],
 ]
 
 
@@ -372,16 +390,40 @@ EXTREME_INPUTS = [
 def test_witnesses_at_extreme_coordinates(fam_name, pts):
     fam = family(fam_name)
     g = GroundSet(np.array(pts))
-    if fam_name == "disks":
-        with pytest.raises(ParameterError, match="1e154"):
+    max_x, max_y = np.abs(g.coords).max(axis=0).tolist()
+    refused = {"disks": "1e154", "halfplanes": "1.8e308" if max_x + max_y == np.inf else None}
+    if refused.get(fam_name):
+        with pytest.raises(ParameterError, match=refused[fam_name]):
             induced_ranges(fam, g)
         return
     rs = induced_ranges(fam, g)
     if len(g) == 2:
         assert len(rs) == 4
+    if fam_name == "halfplanes" and len(g) == 6:
+        assert len(rs) == 6 * 5 + 2  # general position
+    if fam_name == "rectangles":
+        _assert_tight_boxes(rs, g.coords)
     for k in range(len(rs)):
         got = {i for i in range(len(g)) if contains(fam, rs.witness(k), g.point(i))}
         assert got == set(int(i) for i in rs.members(k))
+
+
+def test_halfplanes_refuse_keys_at_the_float_maximum():
+    # max|x| + max|y| is finite but not below the largest float, so the
+    # empty range's c, one ulp under min x, would be -inf
+    big = np.finfo(np.float64).max
+    with pytest.raises(ParameterError, match="1.8e308"):
+        induced_ranges(family("halfplanes"), GroundSet(np.array([[-big, 0.0], [0.0, 0.0]])))
+
+
+def test_halfplanes_subnormal_coordinates_match_oracle():
+    # difference vectors are taken unscaled unless they overflow; halving
+    # them all would merge distinct subnormal points and lose directions
+    fam = family("halfplanes")
+    for seed in range(20):
+        coords = np.random.default_rng(seed).integers(-3, 4, size=(6, 2)) * 5e-324
+        rs = induced_ranges(fam, GroundSet(coords))
+        assert rs.member_sets() == SUBSET_ORACLES["halfplanes"](coords), seed
 
 
 # ------------------------------------------------------------- range sets

@@ -185,6 +185,11 @@ def test_sample_validation():
         Sample(indices=np.array([-1, 0]), m=2, seed=0, ground_size=5)
     with pytest.raises(ParameterError):
         draw_sample(GroundSet(np.array([1.0])), 0, seed=0)
+    # m is an integer >= 1 and seed an integer >= 0; bools are not integers
+    for m, seed in [(True, 1), (2.0, 1), (3, -1), (3, True), (3, 1.0)]:
+        with pytest.raises(ParameterError):
+            draw_sample(GroundSet(np.array([1.0])), m, seed)
+    assert draw_sample(GroundSet(np.array([1.0])), np.int64(2), np.int64(0)).m == 2
 
 
 def test_multiplicities():
