@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BudgetExceededError, ParameterError
 
@@ -280,6 +279,13 @@ class InducedRangeSet:
         return {frozenset(int(i) for i in self.members(k)) for k in range(len(self))}
 
 
+def _empty_run(smallest: float) -> tuple[float, float]:
+    """(lo, hi) of a closed run that holds no value >= smallest: one ulp below
+    it, or, where that is -inf, the inverted run (1, -1), which holds nothing."""
+    below = math.nextafter(float(smallest), -math.inf)
+    return (below, below) if math.isfinite(below) else (1.0, -1.0)
+
+
 class _IntervalRangeSet(InducedRangeSet):
     """Induced intervals: the empty set plus every run of consecutive values."""
 
@@ -325,36 +331,37 @@ class _IntervalRangeSet(InducedRangeSet):
 
     def witness(self, k: int) -> tuple[float, ...]:
         if self.hi[k] < self.lo[k]:
-            below = float(np.nextafter(self.values[0], -np.inf))
-            return (below, below)
+            return _empty_run(self.values[0])
         return (float(self.values[self.lo[k]]), float(self.values[self.hi[k]]))
 
 
-class _CsrRangeSet(InducedRangeSet):
-    """Generic induced-range storage: one sparse membership row per range."""
+# BYTE_BITS[v]: the 8 bits of byte value v, first point first, as np.packbits packs them
+BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
-    def __init__(
-        self,
-        fam: RangeFamily,
-        ground: GroundSet,
-        sizes: np.ndarray | list[int],
-        indices: np.ndarray,
-        witnesses: list[tuple[float, ...]],
-    ):
+
+class _PackedRangeSet(InducedRangeSet):
+    """Planar induced-range storage: `packed`, the (R, ceil(n/8)) bytes of
+    `np.packbits(rows, axis=1)`, kept byte-major, and one witness per row."""
+
+    def __init__(self, fam: RangeFamily, ground: GroundSet, packed: np.ndarray, witnesses):
         super().__init__(fam, ground)
-        indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        data = np.ones(indices.shape[0], dtype=np.int64)
-        self._matrix = sp.csr_matrix((data, indices, indptr), shape=(len(sizes), self.n))
+        self._bits = np.ascontiguousarray(packed.T)
         self._witnesses = witnesses
-        self.counts = np.diff(indptr)
+        self.counts = self.sample_counts(np.ones(self.n, dtype=np.int64))
 
     def sample_counts(self, multiplicities: np.ndarray) -> np.ndarray:
-        return (self._matrix @ multiplicities.astype(np.int64)).astype(np.int64)
+        # per byte position, a 256-entry table of the hit count of each byte
+        nbytes = self._bits.shape[0]
+        mult = np.zeros(8 * nbytes, dtype=np.int64)
+        mult[: self.n] = multiplicities
+        tables = mult.reshape(nbytes, 8) @ BYTE_BITS.T
+        out = np.zeros(self._bits.shape[1], dtype=np.int64)
+        for p in range(nbytes):
+            out += np.take(tables[p], self._bits[p])
+        return out
 
     def members(self, k: int) -> np.ndarray:
-        start, stop = self._matrix.indptr[k], self._matrix.indptr[k + 1]
-        return self._matrix.indices[start:stop].astype(np.int64)
+        return np.flatnonzero(np.unpackbits(self._bits[:, k], count=self.n))
 
     def witness(self, k: int) -> tuple[float, ...]:
         return self._witnesses[k]
@@ -412,26 +419,20 @@ class _SubsetCollector:
     """
 
     def __init__(self):
-        self._keys: set[bytes] = set()
-        self.rows: list[np.ndarray] = []
-        self.witnesses: list[tuple[float, ...]] = []
+        self._first: dict[bytes, tuple[float, ...]] = {}
 
     def add_batch(self, rows: np.ndarray, witnesses) -> None:
         # one packbits pass for the whole batch; python loop only for dedupe
-        packed = np.packbits(rows, axis=1)
-        for k, witness in enumerate(witnesses):
-            key = packed[k].tobytes()
-            if key not in self._keys:
-                self._keys.add(key)
-                self.rows.append(np.nonzero(rows[k])[0].astype(np.int64))
-                self.witnesses.append(witness)
+        for key, witness in zip(map(bytes, np.packbits(rows, axis=1)), witnesses):
+            self._first.setdefault(key, witness)
 
-    def range_set(self, fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
-        sizes = [r.shape[0] for r in self.rows]
-        return _CsrRangeSet(fam, ground, sizes, np.concatenate(self.rows), self.witnesses)
+    def range_set(self, fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
+        packed = np.frombuffer(b"".join(self._first), dtype=np.uint8)
+        packed = packed.reshape(len(self._first), -1)
+        return _PackedRangeSet(fam, ground, packed, list(self._first.values()))
 
 
-def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
+def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
     """Rotating-direction sweep over all closed halfplanes.
 
     The subsets induced by a*x + b*y <= c for a fixed direction (a, b) are
@@ -521,7 +522,7 @@ def _disk_rows(
     return rows, np.column_stack([centers, radii])
 
 
-def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
+def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
     """Anchored bisector-arrangement sweep over all closed disks.
 
     Shrinking a disk about its center until the farthest member sits on the
@@ -659,7 +660,7 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     return collector.range_set(fam, ground)
 
 
-def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
+def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
     """Tight-box sweep over all closed axis-parallel rectangles.
 
     A nonempty subset is induced iff its members' bounding box induces it,
@@ -668,7 +669,6 @@ def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     in y-groups c and d, so the tight boxes list every subset once, no dedupe.
     """
     coords = ground.coords
-    n = len(ground)
     vx, gx = np.unique(coords[:, 0], return_inverse=True)
     vy, gy = np.unique(coords[:, 1], return_inverse=True)
     occupied = np.zeros((vx.shape[0], vy.shape[0]), dtype=bool)
@@ -679,19 +679,18 @@ def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _CsrRangeSet:
     side = cum[:, d + 1] > cum[:, c]
     vxl, y_runs = vx.tolist(), list(zip(vy[c].tolist(), vy[d].tolist()))
 
-    below_x, below_y = (float(np.nextafter(v[0], -np.inf)) for v in (vx, vy))
-    sizes, indices, witnesses = [[0]], [], [(below_x, below_x, below_y, below_y)]
+    packed = [np.packbits(np.zeros((1, len(ground)), dtype=bool), axis=1)]
+    witnesses = [_empty_run(vx[0]) + _empty_run(vy[0])]
     for a in range(vx.shape[0]):
         present = np.zeros(vy.shape[0], dtype=bool)
         for b in range(a, vx.shape[0]):
             present |= occupied[b]
             j = np.nonzero(side[a] & side[b] & present[c] & present[d])[0]
             rows = (gx >= a) & (gx <= b) & (gy >= c[j, None]) & (gy <= d[j, None])
-            sizes.append(np.count_nonzero(rows, axis=1))
-            indices.append(np.flatnonzero(rows) % n)
+            packed.append(np.packbits(rows, axis=1))
             witnesses += [(vxl[a], vxl[b]) + y_runs[i] for i in j.tolist()]
 
-    return _CsrRangeSet(fam, ground, np.concatenate(sizes), np.concatenate(indices), witnesses)
+    return _PackedRangeSet(fam, ground, np.concatenate(packed), witnesses)
 
 
 FAMILIES: dict[str, RangeFamily] = {

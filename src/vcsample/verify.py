@@ -131,7 +131,8 @@ def _engine(
             f"verifying against one of size {len(X)}"
         )
     if ranges is not None:
-        if ranges.family.name != fam.name or ranges.n != len(X):
+        same_ground = ranges.ground is X or np.array_equal(ranges.ground.coords, X.coords)
+        if ranges.family.name != fam.name or not same_ground:
             raise ParameterError("precomputed ranges do not match X and family")
         return ranges
     return induced_ranges(fam, X, budget)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, stdout formats."""
 
+import ast
 import json
 import os
 import re
@@ -393,15 +394,45 @@ def _run(cmd):
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
-def _declared_console_script(name):
-    """The ``module:attr`` target that pyproject.toml's [project.scripts] gives ``name``."""
+def _pyproject_project():
+    """The [project] table of this checkout's pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
     with open(pyproject, "rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"][name]
+        return tomllib.load(fh)["project"]
+
+
+def _declared_console_script(name):
+    """The ``module:attr`` target that pyproject.toml's [project.scripts] gives ``name``."""
+    return _pyproject_project()["scripts"][name]
+
+
+def test_imports_are_declared_and_scipy_free():
+    """Importing the package and its CLI pulls in no SciPy, and every
+    third-party top-level import in the package is a declared dependency."""
+    proc = _run([sys.executable, "-c",
+                 "import sys, vcsample, vcsample.cli; print('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
+                for d in _pyproject_project()["dependencies"]}
+    package = os.path.dirname(os.path.abspath(vcsample.__file__))
+    imported = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"vcsample"}
+    assert "numpy" in third_party
+    assert third_party <= declared
 
 
 def test_module_entry_point():

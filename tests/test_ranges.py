@@ -20,6 +20,7 @@ from vcsample.ranges import (
     read_points_csv,
     sauer_shelah_bound,
     write_points_csv,
+    _SubsetCollector,
 )
 
 
@@ -382,22 +383,30 @@ EXTREME_INPUTS = [
     (np.random.default_rng(0).uniform(-1, 1, (2, 6)).T * [1.5e308, 1e307]).tolist(),
     # max|x| + max|y| overflows, and with it the halfplane keys a*x + b*y
     [[1.5e308, 0.0], [0.0, 1.5e308]],
+    # one ulp below the smallest x (and y) is -inf, so the empty range's
+    # witness cannot sit below the data there
+    [[-1.7976931348623157e308, -1.7976931348623157e308], [0.0, 1.0]],
+    [[0.0, -1.7976931348623157e308], [1.0, 0.0]],
 ]
 
 
-@pytest.mark.parametrize("fam_name", ["halfplanes", "rectangles", "disks"])
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
 @pytest.mark.parametrize("pts", EXTREME_INPUTS)
 def test_witnesses_at_extreme_coordinates(fam_name, pts):
+    # intervals take the x column
     fam = family(fam_name)
-    g = GroundSet(np.array(pts))
-    max_x, max_y = np.abs(g.coords).max(axis=0).tolist()
-    refused = {"disks": "1e154", "halfplanes": "1.8e308" if max_x + max_y == np.inf else None}
+    g = GroundSet(np.array(pts)[:, : fam.ambient_dim])
+    max_x, max_y = np.abs(np.array(pts)).max(axis=0).tolist()
+    refused = {
+        "disks": "1e154",
+        "halfplanes": "1.8e308" if max_x + max_y >= np.finfo(np.float64).max else None,
+    }
     if refused.get(fam_name):
         with pytest.raises(ParameterError, match=refused[fam_name]):
             induced_ranges(fam, g)
         return
     rs = induced_ranges(fam, g)
-    if len(g) == 2:
+    if len(np.unique(g.coords, axis=0)) == 2:
         assert len(rs) == 4
     if fam_name == "halfplanes" and len(g) == 6:
         assert len(rs) == 6 * 5 + 2  # general position
@@ -470,6 +479,8 @@ def test_interval_members_match_mask(distinct):
 
 
 def test_sample_counts_matches_bruteforce():
+    # planar rows are packed 8 points to a byte: n = 1, 9, 17, 65 leave a
+    # partial last byte, and multiplicities up to 10**6 fill the byte tables
     rng = np.random.default_rng(3)
     for fam_name in FAMILIES:
         g = GroundSet(random_coords(fam_name, 8, 21))
@@ -478,6 +489,35 @@ def test_sample_counts_matches_bruteforce():
         got = rs.sample_counts(mult)
         for k in range(len(rs)):
             assert got[k] == sum(mult[i] for i in rs.members(k))
+    for fam_name in ("halfplanes", "rectangles", "disks"):
+        for n in (1, 9, 17, 65):
+            rs = induced_ranges(family(fam_name), GroundSet(random_coords(fam_name, n, 40 + n)))
+            dense = np.zeros((len(rs), n), dtype=np.int64)
+            for k in range(len(rs)):
+                dense[k, rs.members(k)] = 1
+            assert np.array_equal(rs.counts, dense.sum(axis=1))
+            for mult in (
+                np.full(n, 10**6),
+                rng.integers(0, 10**6 + 1, size=n),
+                rng.integers(0, 2, size=n) * 10**6,
+            ):
+                got = rs.sample_counts(mult)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, dense @ mult), (fam_name, n)
+
+
+def test_collector_keeps_first_witness_in_insertion_order():
+    # reports name the worst range's witness, so which duplicate's witness
+    # survives the dedupe is part of the output
+    g = GroundSet(random_coords("halfplanes", 11, 2))
+    rows = np.array([[1] * 11, [0] * 10 + [1], [1] * 11, [1] + [0] * 10, [0] * 10 + [1]], dtype=bool)
+    collector = _SubsetCollector()
+    collector.add_batch(rows[:3], [(0.0, 0.0, 1.0), (0.0, 0.0, 2.0), (0.0, 0.0, 3.0)])
+    collector.add_batch(rows[3:], [(0.0, 0.0, 4.0), (0.0, 0.0, 5.0)])
+    rs = collector.range_set(family("halfplanes"), g)
+    assert [rs.members(k).tolist() for k in range(len(rs))] == [list(range(11)), [10], [0]]
+    assert [rs.witness(k)[2] for k in range(len(rs))] == [1.0, 2.0, 4.0]
+    assert rs.counts.tolist() == [11, 1, 1]
 
 
 def test_enumerate_induced_ranges_canonical_order():

@@ -287,6 +287,14 @@ def test_precomputed_ranges_must_match():
     other = induced_ranges(family("intervals"), GroundSet(np.arange(0.0, 6.0)))
     with pytest.raises(ParameterError):
         verify_eps_net(X, N, 0.5, "intervals", ranges=other)
+    # same family and size, other points: the ranges would be counted wrong
+    moved = induced_ranges(family("intervals"), GroundSet(np.arange(5.0)[::-1]))
+    with pytest.raises(ParameterError):
+        verify_eps_net(X, N, 0.5, "intervals", ranges=moved)
+    # an equal copy of X is accepted
+    copy = induced_ranges(family("intervals"), GroundSet(np.arange(0.0, 5.0)))
+    got = verify_eps_net(X, N, 0.5, "intervals", ranges=copy)
+    assert got.worst_margin == verify_eps_net(X, N, 0.5, "intervals").worst_margin
 
 
 def test_precomputed_ranges_reused():
