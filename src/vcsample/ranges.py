@@ -422,9 +422,9 @@ class _SubsetCollector:
         self._first: dict[bytes, tuple[float, ...]] = {}
 
     def add_batch(self, rows: np.ndarray, witnesses) -> None:
-        # one packbits pass for the whole batch; python loop only for dedupe
-        for key, witness in zip(map(bytes, np.packbits(rows, axis=1)), witnesses):
-            self._first.setdefault(key, witness)
+        flat, width = np.packbits(rows, axis=1).tobytes(), (rows.shape[1] + 7) // 8
+        for start, witness in zip(range(0, len(flat), width), witnesses):
+            self._first.setdefault(flat[start : start + width], witness)
 
     def range_set(self, fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
         packed = np.frombuffer(b"".join(self._first), dtype=np.uint8)
@@ -519,7 +519,7 @@ def _disk_rows(
     dx = coords[None, :, 0] - centers[:, None, 0]
     dy = coords[None, :, 1] - centers[:, None, 1]
     rows = dx * dx + dy * dy <= (radii * radii)[:, None]
-    return rows, np.column_stack([centers, radii])
+    return rows, np.concatenate([centers, radii[:, None]], axis=1)
 
 
 def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
@@ -631,7 +631,7 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
             targets = rows & ~vmask[None, :]
             retry = (
                 rows[:, vmask].any(axis=1)
-                & np.any(rows2 != targets, axis=1)
+                & (rows2 != targets).any(axis=1)
                 & ~is_vertex
             )
             k = np.nonzero(retry)[0]
@@ -639,7 +639,7 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
             probe_k, probe_rows, probe_wit = [], [], []
             for _ in range(60):
                 c2 = centers[k] - delta[:, None] * nhat[None, :]
-                moved = np.any(c2 != centers[k], axis=1)
+                moved = (c2 != centers[k]).any(axis=1)
                 k, delta, c2 = k[moved], delta[moved], c2[moved]
                 if k.size == 0:
                     break
@@ -647,7 +647,7 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
                 probe_k.append(k)
                 probe_rows.append(rows_c2)
                 probe_wit.append(wit_c2)
-                miss = np.any(rows_c2 != targets[k], axis=1)
+                miss = (rows_c2 != targets[k]).any(axis=1)
                 k, delta = k[miss], 0.5 * delta[miss]
             if probe_k:
                 # retry-then-step order, as a one-retry-at-a-time search adds them
