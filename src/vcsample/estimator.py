@@ -81,14 +81,14 @@ class CountEstimate:
         return doc
 
 
-def _sample_coords(N, X: GroundSet | None) -> np.ndarray:
+def _sample_coords(N, X: GroundSet | None, X_size: int) -> np.ndarray:
     if isinstance(N, Sample):
         if X is None:
             raise ParameterError(
                 "pass X so the sample's drawn coordinates can be looked up"
             )
-        if len(X) != N.ground_size:
-            raise ParameterError("sample does not match the given ground set")
+        if not len(X) == X_size == N.ground_size:
+            raise ParameterError("sample does not match the given ground set and X_size")
         return X.coords[N.indices]
     coords = np.asarray(N, dtype=np.float64)
     if coords.ndim == 1:
@@ -112,8 +112,8 @@ def estimate_count(
 ) -> CountEstimate:
     """Estimate |Q intersect X| as sample_weight(Q) * X_size.
 
-    N is either a Sample (then pass X for coordinates) or directly the
-    (m, dim) coordinates of the drawn multiset, as stored in sample files.
+    N is either a Sample of X (then pass X, and X_size is len(X)) or directly
+    the (m, dim) coordinates of the drawn multiset, as stored in sample files.
     Bounds by guarantee, each in points:
       approx:    additive eps * X_size.
       relative:  relative eps when the true weight is >= p, otherwise
@@ -132,7 +132,7 @@ def estimate_count(
         )
     if not (_is_int(X_size) and X_size >= 1):
         raise ParameterError(f"X_size must be a positive integer, got {X_size!r}")
-    coords = _sample_coords(N, X)
+    coords = _sample_coords(N, X, X_size)
     if coords.shape[1] != fam.ambient_dim:
         raise ParameterError(
             f"{fam.name} queries need points in R^{fam.ambient_dim}"

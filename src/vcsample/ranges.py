@@ -16,6 +16,7 @@ refuses larger inputs instead of truncating.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -238,20 +239,20 @@ class InducedRangeSet:
     """Every distinct induced subset of one ground set, in columnar form.
 
     Row 0 is always the empty range. `counts[k]` is |range k| counting
-    multiplicity; `sample_counts` maps a per-point multiplicity vector to
-    per-range hit counts in one vectorized pass, which is what makes the
-    exhaustive verifiers affordable at thousands of points. Individual
-    `InducedRange` objects are materialized on demand.
+    multiplicity, built on first use; `sample_counts` maps a per-point
+    multiplicity vector to per-range hit counts in one vectorized pass,
+    which is what makes the exhaustive verifiers affordable at thousands of
+    points. Individual `InducedRange` objects are materialized on demand.
     """
 
     def __init__(self, fam: RangeFamily, ground: GroundSet):
         self.family = fam
         self.ground = ground
         self.n = len(ground)
-        self.counts: np.ndarray = np.zeros(0, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return self.counts.shape[0]
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        return self.sample_counts(np.ones(self.n, dtype=np.int64))
 
     # subclass API ---------------------------------------------------------
     def sample_counts(self, multiplicities: np.ndarray) -> np.ndarray:
@@ -291,32 +292,31 @@ class _IntervalRangeSet(InducedRangeSet):
 
     def __init__(self, fam: RangeFamily, ground: GroundSet):
         super().__init__(fam, ground)
-        xs = ground.coords[:, 0]
-        self.values, self.group_id = np.unique(xs, return_inverse=True)
-        k = self.values.shape[0]
-        per_group = np.bincount(self.group_id, minlength=k)
-        self._cum = np.concatenate(([0], np.cumsum(per_group)))
+        self.values, self.group_id = np.unique(ground.coords[:, 0], return_inverse=True)
         # point indices grouped by value, ascending within each group
         self._order = np.argsort(self.group_id, kind="stable")
-        lo, hi = np.triu_indices(k)
-        # row 0 is the empty range; the (0, -1) sentinel makes the prefix-sum
-        # count formula come out to zero for it
-        # int64 already, so astype copies nothing; the triu arrays are freed
-        # as soon as they are used (16 MB each at n = 2000)
-        self.lo = np.concatenate(([0], lo)).astype(np.int64, copy=False)
-        del lo
-        self.hi = np.concatenate(([-1], hi)).astype(np.int64, copy=False)
-        del hi
-        self.counts = self._cum[self.hi + 1] - self._cum[self.lo]
+        self._cum = self.sample_prefix(np.ones(self.n, dtype=np.int64))
+        # _starts[lo]: first row of the runs from lo (`row_id` order); the last is len(self)
+        groups = np.arange(self.values.shape[0] + 1)
+        self._starts = self.row_id(groups, groups)
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
 
     def row_id(self, lo, hi):
         """Row of the run of groups lo..hi (lo <= hi), elementwise."""
         k = self.values.shape[0]
         return 1 + lo * k - lo * (lo - 1) // 2 + (hi - lo)
 
+    def _run(self, k: int) -> tuple[int, int]:
+        """(lo, hi) of row k, negative k counting from the end; (0, -1) for row 0."""
+        k = range(len(self))[k]
+        lo = int(np.searchsorted(self._starts, k, side="right")) - 1
+        return (lo, lo + k - int(self._starts[lo])) if k else (0, -1)
+
     def sample_prefix(self, multiplicities: np.ndarray) -> np.ndarray:
-        """Per-group prefix sums of the multiplicities, length k + 1: the
-        sample counterpart of `_cum`."""
+        """Per-group prefix sums of the multiplicities, length k + 1: run
+        lo..hi holds prefix[hi + 1] - prefix[lo] draws."""
         per_group = np.bincount(
             self.group_id, weights=multiplicities, minlength=self.values.shape[0]
         ).astype(np.int64)
@@ -324,15 +324,20 @@ class _IntervalRangeSet(InducedRangeSet):
 
     def sample_counts(self, multiplicities: np.ndarray) -> np.ndarray:
         prefix = self.sample_prefix(multiplicities)
-        return prefix[self.hi + 1] - prefix[self.lo]
+        out = np.zeros(len(self), dtype=np.int64)
+        for lo, start in enumerate(self._starts[:-1].tolist()):
+            out[start : self._starts[lo + 1]] = prefix[lo + 1 :] - prefix[lo]
+        return out
 
     def members(self, k: int) -> np.ndarray:
-        return np.sort(self._order[self._cum[self.lo[k]] : self._cum[self.hi[k] + 1]])
+        lo, hi = self._run(k)
+        return np.sort(self._order[self._cum[lo] : self._cum[hi + 1]])
 
     def witness(self, k: int) -> tuple[float, ...]:
-        if self.hi[k] < self.lo[k]:
+        lo, hi = self._run(k)
+        if hi < lo:
             return _empty_run(self.values[0])
-        return (float(self.values[self.lo[k]]), float(self.values[self.hi[k]]))
+        return (float(self.values[lo]), float(self.values[hi]))
 
 
 # BYTE_BITS[v]: the 8 bits of byte value v, first point first, as np.packbits packs them
@@ -347,7 +352,9 @@ class _PackedRangeSet(InducedRangeSet):
         super().__init__(fam, ground)
         self._bits = np.ascontiguousarray(packed.T)
         self._witnesses = witnesses
-        self.counts = self.sample_counts(np.ones(self.n, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return self._bits.shape[1]
 
     def sample_counts(self, multiplicities: np.ndarray) -> np.ndarray:
         # per byte position, a 256-entry table of the hit count of each byte

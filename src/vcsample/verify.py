@@ -164,9 +164,7 @@ def _report(
 
 def _deviations(engine: InducedRangeSet, N: Sample) -> tuple[np.ndarray, np.ndarray]:
     """(r_counts, s_counts) as int64 arrays, exact."""
-    r_cnt = np.asarray(engine.counts, dtype=np.int64)
-    s_cnt = np.asarray(engine.sample_counts(N.multiplicities()), dtype=np.int64)
-    return r_cnt, s_cnt
+    return engine.counts, engine.sample_counts(N.multiplicities())
 
 
 # Margin kernels map exact per-range ground and sample counts to signed

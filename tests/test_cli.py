@@ -5,15 +5,17 @@ import json
 import os
 import re
 import shutil
-import subprocess
 import sys
 
 import numpy as np
 import pytest
 
 import vcsample
+from conftest import run_fresh
 from vcsample.cli import main
-from vcsample.harness import ExperimentConfig, SourceSpec, run_experiment, sample_size_for
+from vcsample.harness import (
+    ExperimentConfig, SourceSpec, run_experiment, sample_size_for, size_table_csv,
+)
 from vcsample.ranges import DEFAULT_BUDGET, FAMILIES, GroundSet, write_points_csv
 from vcsample.sampling import Sample, write_sample_json
 from vcsample.verify import _SPELLINGS
@@ -382,18 +384,6 @@ SIZE_APPROX = ["size", "--property", "approx", "--eps", "0.1", "--d", "2", "--de
 SIZE_RELATIVE_NO_P = ["size", "--property", "relative", "--eps", "0.3", "--d", "2", "--delta", "0.1"]
 
 
-def _run(cmd):
-    """Run ``cmd`` with the package under test first on the child's import path.
-
-    The child then imports this checkout's ``vcsample`` whether or not the
-    parent's ``PYTHONPATH`` points at it, and never a stale installed copy.
-    """
-    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(vcsample.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_parent, env.get("PYTHONPATH")) if p)
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
-
-
 def _pyproject_project():
     """The [project] table of this checkout's pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -413,8 +403,8 @@ def _declared_console_script(name):
 def test_imports_are_declared_and_scipy_free():
     """Importing the package and its CLI pulls in no SciPy, and every
     third-party top-level import in the package is a declared dependency."""
-    proc = _run([sys.executable, "-c",
-                 "import sys, vcsample, vcsample.cli; print('scipy' in sys.modules)"])
+    proc = run_fresh([sys.executable, "-c",
+                      "import sys, vcsample, vcsample.cli; print('scipy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
@@ -437,11 +427,11 @@ def test_imports_are_declared_and_scipy_free():
 
 def test_module_entry_point():
     for module in ("vcsample", "vcsample.cli"):
-        proc = _run([sys.executable, "-m", module, "size", "--property", "net",
-                     "--eps", "0.1", "--d", "2", "--delta", "0.25"])
+        proc = run_fresh([sys.executable, "-m", module, "size", "--property", "net",
+                          "--eps", "0.1", "--d", "2", "--delta", "0.25"])
         assert proc.returncode == 0, module
         assert proc.stdout == "959\n"
-        proc = _run([sys.executable, "-m", module, *SIZE_RELATIVE_NO_P])
+        proc = run_fresh([sys.executable, "-m", module, *SIZE_RELATIVE_NO_P])
         assert proc.returncode == 2, module
         assert "error:" in proc.stderr
 
@@ -466,9 +456,27 @@ def test_console_script():
     if installed is not None:
         commands.append([installed])
     for cmd in commands:
-        proc = _run([*cmd, *SIZE_APPROX])
+        proc = run_fresh([*cmd, *SIZE_APPROX])
         assert proc.returncode == 0, cmd
         assert proc.stdout == "26617\n"
-        proc = _run([*cmd, *SIZE_RELATIVE_NO_P])
+        proc = run_fresh([*cmd, *SIZE_RELATIVE_NO_P])
         assert proc.returncode == 2, cmd
         assert "error:" in proc.stderr
+
+
+def test_scripts_run_from_checkout(tmp_path):
+    """Both scripts under scripts/ run in a fresh interpreter: the size table
+    has `size_table_csv`'s header, and the demo's JSON is byte-identical
+    across two runs with the same seed."""
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+    proc = run_fresh([sys.executable, os.path.join(scripts, "make_size_table.py")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == size_table_csv([]).splitlines()[0]
+    payloads = []
+    for run in range(2):
+        out = tmp_path / f"demo{run}.json"
+        proc = run_fresh([sys.executable, os.path.join(scripts, "run_experiment_demo.py"),
+                          "--n", "200", "--trials", "5", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]

@@ -116,6 +116,11 @@ def test_validation_errors():
         estimate_count(
             (0.2, 0.6), COORDS_1D, 10, "approx", "intervals", eps=0.1, p=7
         )
+    # X_size must agree with the ground set a Sample was drawn from
+    X = GroundSet(np.linspace(0.0, 1.0, 100))
+    N = draw_sample(X, 50, 1)
+    with pytest.raises(ParameterError):
+        estimate_count((0.0, 0.5), N, 7, "approx", "intervals", X=X, eps=0.1)
 
 
 def test_sample_needs_ground_set():

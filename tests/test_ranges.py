@@ -472,7 +472,8 @@ def test_interval_members_match_mask(distinct):
         rs = induced_ranges(family("intervals"), GroundSet(xs))
         assert rs.values.shape[0] <= 60
         for k in range(len(rs)):
-            mask = (rs.group_id >= rs.lo[k]) & (rs.group_id <= rs.hi[k])
+            lo, hi = rs._run(k)
+            mask = (rs.group_id >= lo) & (rs.group_id <= hi)
             got = rs.members(k)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.nonzero(mask)[0])
@@ -489,21 +490,30 @@ def test_sample_counts_matches_bruteforce():
         got = rs.sample_counts(mult)
         for k in range(len(rs)):
             assert got[k] == sum(mult[i] for i in rs.members(k))
-    for fam_name in ("halfplanes", "rectangles", "disks"):
-        for n in (1, 9, 17, 65):
-            rs = induced_ranges(family(fam_name), GroundSet(random_coords(fam_name, n, 40 + n)))
-            dense = np.zeros((len(rs), n), dtype=np.int64)
-            for k in range(len(rs)):
-                dense[k, rs.members(k)] = 1
-            assert np.array_equal(rs.counts, dense.sum(axis=1))
-            for mult in (
-                np.full(n, 10**6),
-                rng.integers(0, 10**6 + 1, size=n),
-                rng.integers(0, 2, size=n) * 10**6,
-            ):
-                got = rs.sample_counts(mult)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, dense @ mult), (fam_name, n)
+    cases = [
+        (fam_name, random_coords(fam_name, n, 40 + n))
+        for fam_name in ("halfplanes", "rectangles", "disks")
+        for n in (1, 9, 17, 65)
+    ]
+    # interval counts are written one block of runs per lo; 150 points on at
+    # most 12 values put many points in each group
+    cases += [("intervals", random_coords("intervals", n, 40 + n)) for n in (1, 2, 33)]
+    cases.append(("intervals", rng.integers(0, 12, size=150).astype(float)))
+    for fam_name, coords in cases:
+        n = len(coords)
+        rs = induced_ranges(family(fam_name), GroundSet(coords))
+        dense = np.zeros((len(rs), n), dtype=np.int64)
+        for k in range(len(rs)):
+            dense[k, rs.members(k)] = 1
+        assert np.array_equal(rs.counts, dense.sum(axis=1))
+        for mult in (
+            np.full(n, 10**6),
+            rng.integers(0, 10**6 + 1, size=n),
+            rng.integers(0, 2, size=n) * 10**6,
+        ):
+            got = rs.sample_counts(mult)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, dense @ mult), (fam_name, n)
 
 
 def test_collector_keeps_first_witness_in_insertion_order():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from conftest import random_coords
+from conftest import random_coords, run_fresh
 from vcsample.errors import BudgetExceededError, ParameterError
 from vcsample.ranges import EnumerationBudget, GroundSet, family, induced_ranges
 from vcsample.sampling import Sample, draw_sample
@@ -468,7 +469,15 @@ def test_interval_fast_path_matches_kernel(case):
 def test_interval_row_id_matches_enumeration():
     for k in range(1, 51):
         rs = induced_ranges(family("intervals"), GroundSet(np.arange(float(k))))
-        assert np.array_equal(rs.row_id(rs.lo[1:], rs.hi[1:]), np.arange(1, len(rs)))
+        lo, hi = np.array([rs._run(row) for row in range(1, len(rs))]).T
+        assert np.array_equal(np.stack([lo, hi]), np.triu_indices(k))
+        assert np.array_equal(rs.row_id(lo, hi), np.arange(1, len(rs)))
+        assert rs._run(0) == (0, -1)
+        # rows index like a sequence: negative from the end, IndexError outside
+        assert rs._run(-1) == rs._run(len(rs) - 1)
+        for row in (len(rs), -len(rs) - 1):
+            with pytest.raises(IndexError):
+                rs.witness(row)
 
 
 def test_interval_approx_guard_defers_to_kernel():
@@ -484,3 +493,42 @@ def test_interval_approx_guard_defers_to_kernel():
     worst = float(np.min(margins))
     got = _worst_margin(prop, rs, N, 0.5, None, True)
     assert got[0] == worst and np.array_equal(got[1], np.nonzero(margins == worst)[0])
+
+
+_INTERVAL_MEMORY = """
+import resource, sys
+import numpy as np
+from vcsample.ranges import GroundSet, family, induced_ranges
+from vcsample.sampling import draw_sample
+from vcsample.verify import verify_eps_approx, verify_eps_net
+
+X = GroundSet(np.random.default_rng(5).random(5000))
+rs = induced_ranges(family("intervals"), X)
+N = draw_sample(X, 400, 5)
+for rep in (verify_eps_net(X, N, 0.05, rs.family, ranges=rs),
+            verify_eps_approx(X, N, 0.1, rs.family, ranges=rs)):
+    assert rep.ranges_checked == 5000 * 5001 // 2 + 1
+# ru_maxrss is in bytes on macOS and in KiB elsewhere
+unit = 2**20 if sys.platform == "darwin" else 2**10
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, "counts" in rs.__dict__)
+"""
+
+
+def test_interval_memory_stays_bounded():
+    """Intervals at the default budget, n = 5000 (12.5M ranges), verified for
+    eps_net and eps_approx in a fresh interpreter: the fast paths read only
+    per-value arrays, so no per-range array is built and peak RSS stays far
+    below the 100 MB that a single int64 per range would take."""
+    pytest.importorskip("resource")
+    # a process keeps, across exec, the peak RSS of the memory image it
+    # replaced (this test runner's), so the measured child is started from a
+    # small interpreter
+    hop = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.run([sys.executable, '-c', {_INTERVAL_MEMORY!r}]).returncode)"
+    )
+    proc = run_fresh([sys.executable, "-c", hop])
+    assert proc.returncode == 0, proc.stderr
+    peak_mb, counts_cached = proc.stdout.split()
+    assert float(peak_mb) < 120.0
+    assert counts_cached == "False"
