@@ -402,6 +402,16 @@ def calibrate_constant(
     calibration fails.
     """
     target_delta = _check_unit("delta", target_delta)
+    if not (_is_real(resolution) and math.isfinite(resolution) and resolution > 0):
+        raise ParameterError(f"resolution must be finite and > 0, got {resolution!r}")
+    if not (_is_real(ceiling) and math.isfinite(ceiling) and ceiling >= resolution):
+        raise ParameterError(
+            f"ceiling must be finite and >= resolution {resolution}, got {ceiling!r}"
+        )
+    if not (_is_int(min_trials) and 1 <= min_trials < _SEEDS_PER_CELL):
+        raise ParameterError(
+            f"min_trials must lie in [1, {_SEEDS_PER_CELL}), got {min_trials!r}"
+        )
     fam = family_by_name(cfg.family)
     X = generate_ground_set(cfg.source, fam.ambient_dim, cfg.seed)
     # unlike run_experiment, a blown budget aborts calibration outright

@@ -201,11 +201,16 @@ class Sample:
     params: Any = None
 
     def __post_init__(self):
-        arr = np.asarray(self.indices, dtype=np.int64).copy()
-        if arr.ndim != 1 or arr.shape[0] != self.m or self.m < 1:
+        arr = np.asarray(self.indices)
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ParameterError(f"sample indices must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
+        if not (_is_int(self.m) and self.m >= 1 and arr.ndim == 1 and arr.shape[0] == self.m):
             raise ParameterError("sample must hold exactly m >= 1 indices")
-        if self.ground_size < 1:
-            raise ParameterError("ground_size must be positive")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (_is_int(self.ground_size) and self.ground_size >= 1):
+            raise ParameterError("ground_size must be a positive integer")
         if arr.min() < 0 or arr.max() >= self.ground_size:
             raise ParameterError("sample index out of range for the ground set")
         arr.setflags(write=False)

@@ -174,10 +174,7 @@ def _deviations(engine: InducedRangeSet, N: Sample) -> tuple[np.ndarray, np.ndar
 def _net_margins(r_cnt, s_cnt, n, m, eps, p):
     # light ranges are unconstrained; the full set is induced and heavy, so
     # at least one margin is finite
-    heavy = r_cnt >= eps * n
-    margins = np.full(r_cnt.shape[0], math.inf)
-    margins[heavy] = (s_cnt[heavy] - 1) / m
-    return margins
+    return np.where(r_cnt >= eps * n, (s_cnt - 1) / m, math.inf)
 
 
 def _approx_margins(r_cnt, s_cnt, n, m, eps, p):
@@ -192,42 +189,29 @@ def _sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
     return allowance * _UP - dev
 
 
-def _relative_margins(
-    r_cnt: np.ndarray,
-    s_cnt: np.ndarray,
-    n: int,
-    m: int,
-    env_eps: np.ndarray | float,
-    cap_eps: np.ndarray | float,
-    cap_base: np.ndarray | float,
-    heavy: np.ndarray,
-    capped: np.ndarray,
-) -> np.ndarray:
-    """Shared margin assembly for the relative-style verifiers.
+# The two clauses of the relative-style guarantees, on weights r = r_cnt/n
+# and s = s_cnt/m: the two-sided envelope (1 - e) r <= s <= (1 + e) r of a
+# heavy range and the cap s <= (1 + e) base of a light one. Each kernel keeps
+# a range's tightest applicable clause, +inf standing for an inapplicable
+# one, so the multi-level kernel's level-1 margins match the plain relative
+# kernel's bit for bit.
 
-    Heavy ranges get the two-sided envelope (1 - env_eps) r <= s <=
-    (1 + env_eps) r; capped ranges get s <= (1 + cap_eps) cap_base. Margins
-    for inapplicable clauses are +inf; each range keeps its tightest. The
-    plain relative check is the env_eps = cap_eps = eps, cap_base = p
-    instance, and the multi-level verifier reuses the same expressions so
-    its level-1 margins match bit for bit.
-    """
-    r = r_cnt / n
-    s = s_cnt / m
-    margins = np.full(r.shape[0], math.inf)
-    if heavy.any():
-        lo = s[heavy] - (1.0 - env_eps) * r[heavy] * _DOWN
-        up = (1.0 + env_eps) * r[heavy] * _UP - s[heavy]
-        margins[heavy] = np.minimum(lo, up)
-    if capped.any():
-        cap = (1.0 + cap_eps) * cap_base * _UP - s[capped]
-        margins[capped] = np.minimum(margins[capped], cap)
-    return margins
+
+def _envelope(r, s, e):
+    return np.minimum(s - (1.0 - e) * r * _DOWN, (1.0 + e) * r * _UP - s)
+
+
+def _cap(s, e, base):
+    return (1.0 + e) * base * _UP - s
 
 
 def _relative_kernel(r_cnt, s_cnt, n, m, eps, p):
     # clause (i) on r >= p, clause (ii) on r <= p
-    return _relative_margins(r_cnt, s_cnt, n, m, eps, eps, p, r_cnt >= p * n, r_cnt <= p * n)
+    r, s = r_cnt / n, s_cnt / m
+    return np.minimum(
+        np.where(r_cnt >= p * n, _envelope(r, s, eps), math.inf),
+        np.where(r_cnt <= p * n, _cap(s, eps, p), math.inf),
+    )
 
 
 def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
@@ -235,21 +219,18 @@ def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
     # thresholds[i - 1] = i*pn, the float products the clauses compare
     # against; the last one, (levels + 2)*pn, exceeds n >= r_cnt
     thresholds = np.arange(1, levels + 3) * (p * n)
+    r, s = r_cnt / n, s_cnt / m
 
-    # binding envelope level of a heavy range: largest i with r_cnt >= i*pn
+    # binding envelope level of a heavy range: largest i with r_cnt >= i*pn;
+    # it is 0 on light ranges, whose unused envelope divides by 1 instead
     i_star = np.searchsorted(thresholds, r_cnt, side="right")
-    heavy = i_star >= 1
-    env_eps = eps / np.sqrt(i_star[heavy].astype(np.float64))
+    env = _envelope(r, s, eps / np.sqrt(np.maximum(i_star, 1)))
+    env = np.where(i_star >= 1, env, math.inf)
 
     # binding cap level: smallest j with r_cnt <= j*pn, which is 1 for light
-    # ranges, so they reuse the plain relative clause (ii) expression
-    j_cap = np.searchsorted(thresholds, r_cnt, side="left") + 1
-    capped = j_cap <= levels
-    j_f = j_cap[capped].astype(np.float64)
-
-    return _relative_margins(
-        r_cnt, s_cnt, n, m, env_eps, eps / np.sqrt(j_f), j_f * p, heavy, capped
-    )
+    # ranges, so they get the plain relative clause (ii) expression
+    j = (np.searchsorted(thresholds, r_cnt, side="left") + 1).astype(np.float64)
+    return np.minimum(env, np.where(j <= levels, _cap(s, eps / np.sqrt(j), j * p), math.inf))
 
 
 # Interval fast paths: the worst margin and, with ties set, the ascending
@@ -521,12 +502,12 @@ def check_sensitive_implies_relative(
     engine = _engine(X, N, fam, budget, ranges)
     eps_prime = eps * math.sqrt(p)
     r_cnt, s_cnt = _deviations(engine, N)
-    counts = (r_cnt, s_cnt, len(X), N.m)
-    if not np.min(_sensitive_margins(*counts, eps_prime, None)) >= 0.0:
+    n, m = len(X), N.m
+    if not np.min(_sensitive_margins(r_cnt, s_cnt, n, m, eps_prime, None)) >= 0.0:
         return True
-    none = np.zeros(r_cnt.shape[0], dtype=bool)
-    clause_i = _relative_margins(*counts, eps, eps, p, r_cnt >= p * len(X), none)
-    clause_ii = _relative_margins(*counts, eps, eps, p, none, r_cnt <= p * len(X))
+    r, s = r_cnt / n, s_cnt / m
+    clause_i = np.where(r_cnt >= p * n, _envelope(r, s, eps), math.inf)
+    clause_ii = np.where(r_cnt <= p * n, _cap(s, eps, p), math.inf)
     clause_i_ok = bool(np.min(clause_i) >= 0.0)
     clause_ii_ok = bool(np.min(clause_ii) >= 0.0)
     log.info(

@@ -277,6 +277,36 @@ def verify_relative_sensitive(subsets, n, mult, p, eps) -> bool:
     return True
 
 
+def _rows(r_cnt, s_cnt):
+    return zip(np.asarray(r_cnt).tolist(), np.asarray(s_cnt).tolist())
+
+
+def net_margins(r_cnt, s_cnt, n, m, eps) -> np.ndarray:
+    """Per-range eps-net margins: (s_cnt - 1)/m on a range with
+    r_cnt >= eps*n, +inf on a lighter one."""
+    return np.array(
+        [(sc - 1) / m if rc >= eps * n else math.inf for rc, sc in _rows(r_cnt, s_cnt)],
+        dtype=np.float64,
+    )
+
+
+def relative_margins(r_cnt, s_cnt, n, m, eps, p) -> np.ndarray:
+    """Per-range relative (p, eps) margins: the envelope where r_cnt >= pn,
+    the cap (1 + eps) p where r_cnt <= pn, the tighter of the two where both
+    apply. The float expressions are the package kernel's."""
+    up, down = 1.0 + _TOL, 1.0 - _TOL
+    out = []
+    for rc, sc in _rows(r_cnt, s_cnt):
+        r, s = rc / n, sc / m
+        margin = math.inf
+        if rc >= p * n:
+            margin = min(s - (1.0 - eps) * r * down, (1.0 + eps) * r * up - s)
+        if rc <= p * n:
+            margin = min(margin, (1.0 + eps) * p * up - s)
+        out.append(margin)
+    return np.array(out, dtype=np.float64)
+
+
 def relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p) -> np.ndarray:
     """Per-range relative-sensitive margins, scanning every level.
 
@@ -289,7 +319,7 @@ def relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p) -> np.ndarray:
     pn = p * n
     up, down = 1.0 + _TOL, 1.0 - _TOL
     out = []
-    for rc, sc in zip(np.asarray(r_cnt).tolist(), np.asarray(s_cnt).tolist()):
+    for rc, sc in _rows(r_cnt, s_cnt):
         r, s = rc / n, sc / m
         margin = math.inf
         for i in range(1, levels + 2):

@@ -1,6 +1,7 @@
 """Experiment harness: configs, determinism, calibration, size tables."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -376,6 +377,36 @@ def test_calibrate_ceiling_error():
     assert calibrate_constant(cfg, 0.02) == 0.1
     with pytest.raises(CalibrationError):
         calibrate_constant(cfg, 0.02, ceiling=0.05)
+
+
+def test_calibrate_argument_errors():
+    cfg = ExperimentConfig(
+        family="intervals",
+        property="net",
+        source=SourceSpec(kind="uniform", n=60),
+        eps_values=(0.3,),
+        delta=0.25,
+        trials=50,
+        seed=11,
+    )
+    # a ceiling below the resolution would probe C above it; min_trials of
+    # 10**6 or more would reuse trial seeds across cells
+    for kwargs in [
+        dict(ceiling=0.01),
+        dict(ceiling=math.inf),
+        dict(ceiling=math.nan),
+        dict(resolution=0.0),
+        dict(resolution=-0.05),
+        dict(resolution=math.inf),
+        dict(resolution=math.nan),
+        dict(resolution="0.05"),
+        dict(min_trials=0),
+        dict(min_trials=10**6),
+        dict(min_trials=200.0),
+        dict(min_trials=True),
+    ]:
+        with pytest.raises(ParameterError):
+            calibrate_constant(cfg, 0.02, **kwargs)
 
 
 def test_calibrate_respects_tighter_target():

@@ -190,6 +190,23 @@ def test_sample_validation():
         with pytest.raises(ParameterError):
             draw_sample(GroundSet(np.array([1.0])), m, seed)
     assert draw_sample(GroundSet(np.array([1.0])), np.int64(2), np.int64(0)).m == 2
+    # a Sample is checked as strictly as draw_sample: integer indices, m,
+    # seed >= 0 and ground_size, none of them bools or floats
+    for kwargs in [
+        dict(indices=[1.7], m=1, seed=0, ground_size=3),
+        dict(indices=np.array([True]), m=1, seed=0, ground_size=3),
+        dict(indices=[1], m=1.0, seed=0, ground_size=3),
+        dict(indices=[1], m=True, seed=0, ground_size=3),
+        dict(indices=[1], m=1, seed=-5, ground_size=3),
+        dict(indices=[1], m=1, seed=0.0, ground_size=3),
+        dict(indices=[1], m=1, seed=True, ground_size=3),
+        dict(indices=[1], m=1, seed=0, ground_size=3.5),
+        dict(indices=[1], m=1, seed=0, ground_size=True),
+    ]:
+        with pytest.raises(ParameterError):
+            Sample(**kwargs)
+    N = Sample(indices=np.array([2], dtype=np.uint8), m=np.int64(1), seed=np.int64(0), ground_size=3)
+    assert N.indices.dtype == np.int64 and N.indices.tolist() == [2]
 
 
 def test_multiplicities():

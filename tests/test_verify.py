@@ -18,6 +18,8 @@ from vcsample.verify import (
     PROPERTIES,
     REL_TOL,
     _deviations,
+    _net_margins,
+    _relative_kernel,
     _relative_sensitive_margins,
     _report,
     _worst_margin,
@@ -197,7 +199,8 @@ def test_worst_range_tiebreak_against_bruteforce(fam_name, n, m, eps, p):
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.3, 0.7, 1 / 7])
 def test_relative_sensitive_levels_against_reference(p):
     # every r_cnt from 0 to n, at n where i*p*n lands on integers (20, 60,
-    # 140, 420) and where it does not, against a scan over every level
+    # 140, 420) and where it does not, against a scan over every level; the
+    # plain relative and eps-net kernels against their per-range references
     rng = np.random.default_rng(int(p * 1e6))
     for n in (1, 3, 7, 10, 20, 21, 60, 100, 140, 420):
         for _ in range(5):
@@ -208,6 +211,12 @@ def test_relative_sensitive_levels_against_reference(p):
             s_cnt = np.clip(np.rint(r_cnt * m / n * jitter), 0, m).astype(np.int64)
             got = _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p)
             want = oracles.relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p)
+            assert np.array_equal(got, want), (n, m, eps)
+            got = _relative_kernel(r_cnt, s_cnt, n, m, eps, p)
+            want = oracles.relative_margins(r_cnt, s_cnt, n, m, eps, p)
+            assert np.array_equal(got, want), (n, m, eps)
+            got = _net_margins(r_cnt, s_cnt, n, m, eps, p)
+            want = oracles.net_margins(r_cnt, s_cnt, n, m, eps)
             assert np.array_equal(got, want), (n, m, eps)
 
 
@@ -500,7 +509,13 @@ import resource, sys
 import numpy as np
 from vcsample.ranges import GroundSet, family, induced_ranges
 from vcsample.sampling import draw_sample
-from vcsample.verify import verify_eps_approx, verify_eps_net
+from vcsample.verify import verify_eps_approx, verify_eps_net, verify_relative_sensitive
+
+# ru_maxrss is in bytes on macOS and in KiB elsewhere
+unit = 2**20 if sys.platform == "darwin" else 2**10
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 X = GroundSet(np.random.default_rng(5).random(5000))
 rs = induced_ranges(family("intervals"), X)
@@ -508,9 +523,16 @@ N = draw_sample(X, 400, 5)
 for rep in (verify_eps_net(X, N, 0.05, rs.family, ranges=rs),
             verify_eps_approx(X, N, 0.1, rs.family, ranges=rs)):
     assert rep.ranges_checked == 5000 * 5001 // 2 + 1
-# ru_maxrss is in bytes on macOS and in KiB elsewhere
-unit = 2**20 if sys.platform == "darwin" else 2**10
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, "counts" in rs.__dict__)
+fast_peak, counts_cached = peak_mb(), "counts" in rs.__dict__
+del X, rs, N
+
+# the margin kernel path on 2,001,001 ranges, from the peak after enumeration
+X = GroundSet(np.random.default_rng(6).random(2000))
+rs = induced_ranges(family("intervals"), X)
+before = peak_mb()
+rep = verify_relative_sensitive(X, draw_sample(X, 2000, 6), 0.1, 0.3, rs.family, ranges=rs)
+assert rep.ranges_checked == 2000 * 2001 // 2 + 1
+print(fast_peak, counts_cached, peak_mb() - before)
 """
 
 
@@ -518,7 +540,10 @@ def test_interval_memory_stays_bounded():
     """Intervals at the default budget, n = 5000 (12.5M ranges), verified for
     eps_net and eps_approx in a fresh interpreter: the fast paths read only
     per-value arrays, so no per-range array is built and peak RSS stays far
-    below the 100 MB that a single int64 per range would take."""
+    below the 100 MB that a single int64 per range would take. Then
+    relative_sensitive at n = m = 2000 (2M ranges) on the kernel path, whose
+    elementwise clauses keep the peak within 200 MB of the enumeration's
+    (about 155 MB, ten 8-byte arrays of one entry per range)."""
     pytest.importorskip("resource")
     # a process keeps, across exec, the peak RSS of the memory image it
     # replaced (this test runner's), so the measured child is started from a
@@ -529,6 +554,7 @@ def test_interval_memory_stays_bounded():
     )
     proc = run_fresh([sys.executable, "-c", hop])
     assert proc.returncode == 0, proc.stderr
-    peak_mb, counts_cached = proc.stdout.split()
+    peak_mb, counts_cached, kernel_growth_mb = proc.stdout.split()
     assert float(peak_mb) < 120.0
     assert counts_cached == "False"
+    assert float(kernel_growth_mb) < 200.0
