@@ -8,13 +8,15 @@ exact integer counts (one float division at comparison time, no
 accumulation), and reports the tightest constraint as a signed margin.
 `passed` is exactly `worst_margin >= 0`.
 
-On intervals, eps_net and eps_approx take a prefix-sum fast path instead
-(`Property.interval_worst`). The worst margin comes from the per-value
-prefix sums of ground and sample counts in O(n), and its tied ranges from
-the same sums. The integer counts and the final float expressions are the
-kernel's, so the reports are bit-identical to the kernel path's. The
-Monte-Carlo harness asks only for the worst margin and skips the
-tie-break on every property.
+On intervals, every property but sensitive takes a prefix-sum fast path
+instead (`Property.interval_worst`), from the per-value prefix sums of
+ground and sample counts. For eps_net and eps_approx the worst margin and
+its tied ranges come from those sums in O(n). For relative and
+relative_sensitive the sums pick out the few runs that can attain the
+worst margin, and the margin kernel scores just those. The integer counts
+and the final float expressions are the kernel's, so the reports are
+bit-identical to the kernel path's. The Monte-Carlo harness asks only for
+the worst margin and skips the tie-break on every property.
 
 Inequalities carry a relative slack of REL_TOL in favor of passing: true
 weights are exact rationals, so near-ties only arise from rounding on the
@@ -239,7 +241,7 @@ def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
 # points. None sends the caller to the kernel path.
 
 
-def _interval_net_worst(engine, P, n, m, eps, ties):
+def _interval_net_worst(engine, P, n, m, eps, p, ties):
     cum = engine._cum
     k = cum.shape[0] - 1
     # the kernel's heavy test r_cnt >= eps*n, on integer counts
@@ -265,7 +267,7 @@ def _interval_net_worst(engine, P, n, m, eps, ties):
     return worst, np.repeat(first, run) + offsets
 
 
-def _interval_approx_worst(engine, P, n, m, eps, ties):
+def _interval_approx_worst(engine, P, n, m, eps, p, ties):
     # D[b] - D[a] = r_cnt*m - s_cnt*n for the run of groups a..b-1, so the
     # largest deviation numerator is max D - min D
     D = engine._cum * m - P * n
@@ -287,6 +289,156 @@ def _interval_approx_worst(engine, P, n, m, eps, ties):
     return worst, np.sort(engine.row_id(lo, end - 1), axis=None)
 
 
+# The relative-style fast paths keep a few candidate runs and score them with
+# the kernel. A light run's cap (1 + e) base - s falls as s grows with hi, so
+# from each lo the longest run within a cap level's count limit carries that
+# level's worst cap; if it sits in a lower level, its own cap is no larger.
+# The envelope sides are differences of per-end values, s - (1 - e) r =
+# A[end] - A[lo] and (1 + e) r - s = B[end] - B[lo] with A = P/m - (1 - e)
+# cum/n and B = (1 + e) cum/n - P/m, so range-argmin tables over each
+# envelope band's ends find every run within _TOL of the least value. _TOL
+# exceeds twice the rounding error of these differences (a few ulp of
+# values at most 2), so the kept runs include every run whose kernel margin
+# is the worst one.
+_TOL = 1e-12
+# the most runs a fast path scores before it defers to the kernel
+_KEEP_CAP = 10_000
+# Its per-level arrays cost about 150 bytes and 0.4 us per (level, lo)
+# entry, the kernel path about 80 bytes and 0.15 us per range (measured at
+# 2000 and 5000 distinct values), and a tiny p makes floor(1/p) levels. So
+# the fast path defers once the entries pass a quarter of the range count,
+# short of where the kernel path turns faster, unless they stay within
+# _LEVEL_CAP (about 150 MB).
+_LEVEL_CAP = 1 << 20
+
+
+def _argmin_tables(V, depth):
+    """tables[t, row, x]: a position of the least entry of V[row] in
+    [x, x + 2**t)."""
+    tables = np.empty((depth + 1, *V.shape), dtype=np.int32)
+    idx = np.broadcast_to(np.arange(V.shape[1], dtype=np.int32), V.shape)
+    val = V
+    tables[0] = idx
+    for t in range(1, depth + 1):
+        h = 1 << (t - 1)
+        left = val[:, :-h] <= val[:, h:]
+        idx = np.where(left, idx[:, :-h], idx[:, h:])
+        val = np.minimum(val[:, :-h], val[:, h:])
+        tables[t, :, : idx.shape[1]] = idx
+    return tables
+
+
+def _argmin(V, tables, row, a, b):
+    """A position of the least entry of V[row] in [a, b), elementwise (a < b)."""
+    t = np.frexp(b - a)[1] - 1
+    i, j = tables[t, row, a], tables[t, row, b - (1 << t)]
+    return np.where(V[row, i] <= V[row, j], i, j).astype(np.int64)
+
+
+def _interval_relative_style(
+    engine, P, n, m, ties, margins, thresholds, env_eps, cap_eps, cap_base
+):
+    """The shared fast path. Envelope band i (from 1) holds the runs with
+    thresholds[i-1] <= r_cnt < thresholds[i], the last band open above, at
+    envelope parameter env_eps[i-1]; cap level j holds the runs with
+    thresholds[j-2] < r_cnt <= thresholds[j-1] under the cap
+    (1 + cap_eps[j-1]) cap_base[j-1]. margins(r_cnt, s_cnt) is the kernel."""
+    cum = engine._cum
+    k = cum.shape[0] - 1
+    if thresholds.shape[0] * (k + 1) > max(_LEVEL_CAP, len(engine) // 4):
+        return None
+    lo = np.arange(k)
+
+    # cap level j: E[j-1, lo] ends the longest run from lo within its count
+    # limit, and the level's own runs from lo end in (prev, E]
+    limit = np.floor(thresholds[: cap_eps.shape[0]])
+    E = np.searchsorted(cum, cum[:-1] + limit[:, None], side="right") - 1
+    prev = np.vstack([lo, E[:-1]])
+    top = _cap(0.0, cap_eps, cap_base)
+    cap = top[:, None] - (P[E] - P[:-1]) / m
+    # the empty range holds to the first cap at s = 0
+    least = min(float(cap[E > prev].min(initial=math.inf)), float(top[0]))
+
+    # envelope band i: G[i-1, lo] is the first end whose run from lo reaches
+    # it; rows of V are the A values of every band, then the B values
+    s_w, r_w = P / m, cum / n
+    V = np.concatenate([
+        s_w - ((1.0 - env_eps) * _DOWN)[:, None] * r_w,
+        ((1.0 + env_eps) * _UP)[:, None] * r_w - s_w,
+    ])
+    G = np.searchsorted(cum, cum[:-1] + np.ceil(thresholds)[:, None], side="left")
+    G = np.vstack([G, np.full(k, k + 1)])
+    a, b = np.tile(G[:-1], (2, 1)), np.tile(G[1:], (2, 1))
+    row, at = np.nonzero(a < b)
+    a, b = a[row, at], b[row, at]
+    tables = _argmin_tables(V, int((b - a).max(initial=1)).bit_length() - 1)
+    pos = _argmin(V, tables, row, a, b)
+    val = V[row, pos] - V[row, at]
+    tau = min(least, float(val.min(initial=math.inf))) + _TOL
+
+    # kept cap runs: from lo, the level's own runs with at least `need` hits,
+    # the fewest whose cap can be within tau (cap falls as hits grow); the
+    # estimate's rounding is under one hit, which the one spare hit covers
+    need = np.maximum(np.ceil((top - tau) * m) - 1, 0)
+    start = np.maximum(np.searchsorted(P, P[:-1] + need[:, None], side="left"), prev + 1)
+    count = np.maximum(E - start + 1, 0).ravel()
+    kept = int(count.sum())
+    if kept > _KEEP_CAP:
+        return None
+    offsets = np.arange(kept) - np.repeat(np.cumsum(count) - count, count)
+    found_lo = [np.repeat(np.broadcast_to(lo, E.shape).ravel(), count)]
+    found_end = [np.repeat(start.ravel(), count) + offsets]
+
+    # kept envelope runs: each window whose least value is within tau gives
+    # that end, then is searched again on either side of it
+    while pos.size:
+        keep = val <= tau
+        row, at, a, b, pos = row[keep], at[keep], a[keep], b[keep], pos[keep]
+        kept += pos.size
+        if kept > _KEEP_CAP:
+            return None
+        found_lo.append(at)
+        found_end.append(pos)
+        row, at = np.tile(row, 2), np.tile(at, 2)
+        a, b = np.concatenate([a, pos + 1]), np.concatenate([pos, b])
+        row, at, a, b = (x[a < b] for x in (row, at, a, b))
+        pos = _argmin(V, tables, row, a, b)
+        val = V[row, pos] - V[row, at]
+
+    lo, end = np.concatenate(found_lo), np.concatenate(found_end)
+    ids, first = np.unique(engine.row_id(lo, end - 1), return_index=True)
+    lo, end = lo[first], end[first]
+    ids = np.concatenate(([0], ids))
+    margin = margins(
+        np.concatenate(([0], cum[end] - cum[lo])), np.concatenate(([0], P[end] - P[lo]))
+    )
+    worst = float(margin.min())
+    if not ties:
+        return worst, None
+    tied = ids[margin == worst]
+    # the empty range alone stands for a tie it is in
+    return worst, tied[:1] if tied[0] == 0 else tied
+
+
+def _interval_relative_worst(engine, P, n, m, eps, p, ties):
+    return _interval_relative_style(
+        engine, P, n, m, ties, lambda r, s: _relative_kernel(r, s, n, m, eps, p),
+        np.array([p * n]), np.array([eps]), np.array([eps]), np.array([p]),
+    )
+
+
+def _interval_relative_sensitive_worst(engine, P, n, m, eps, p, ties):
+    levels = max(1, int(math.floor(1.0 / p)))
+    # the kernel's level thresholds i*pn; no run reaches (levels + 2)*pn > n,
+    # so envelope band levels + 1 is the last one
+    i = np.arange(1.0, levels + 2)
+    e = eps / np.sqrt(i)
+    return _interval_relative_style(
+        engine, P, n, m, ties, lambda r, s: _relative_sensitive_margins(r, s, n, m, eps, p),
+        i * (p * n), e, e[:levels], (i * p)[:levels],
+    )
+
+
 def _size_relative(d, eps, p, delta, C):
     # one sample size serves every level of the relative-sensitive ladder
     return size_relative(p, eps, d, delta, C)
@@ -298,9 +450,11 @@ class Property:
     it, whether it takes a weight threshold p, its sample size
     size(d, eps, p, delta, C), its margin kernel
     margins(r_cnt, s_cnt, n, m, eps, p) and, optionally, an interval fast
-    path interval_worst(engine, P, n, m, eps, ties) that returns the worst
-    margin and the tied range ids (None unless ties), or None to defer to
-    the kernel."""
+    path interval_worst(engine, P, n, m, eps, p, ties). The fast path takes
+    the kernel's arguments, with the per-group sample prefix sums P in
+    place of the counts; p is None for the properties that do not take it.
+    It returns the worst margin and the tied range ids (None unless ties),
+    or None to defer to the kernel."""
 
     name: str
     aliases: tuple[str, ...]
@@ -329,10 +483,12 @@ PROPERTIES: dict[str, Property] = {
             "sensitive", (), False,
             lambda d, eps, p, delta, C: size_sensitive(eps, d, delta, C), _sensitive_margins,
         ),
-        Property("relative", (), True, _size_relative, _relative_kernel),
+        Property(
+            "relative", (), True, _size_relative, _relative_kernel, _interval_relative_worst,
+        ),
         Property(
             "relative_sensitive", ("relative-sensitive",), True,
-            _size_relative, _relative_sensitive_margins,
+            _size_relative, _relative_sensitive_margins, _interval_relative_sensitive_worst,
         ),
     )
 }
@@ -361,7 +517,7 @@ def _worst_margin(
     as already checked."""
     if prop.interval_worst is not None and isinstance(engine, _IntervalRangeSet):
         P = engine.sample_prefix(N.multiplicities())
-        found = prop.interval_worst(engine, P, engine.n, N.m, eps, ties)
+        found = prop.interval_worst(engine, P, engine.n, N.m, eps, p, ties)
         if found is not None:
             return found
     margins = prop.margins(*_deviations(engine, N), engine.n, N.m, eps, p)

@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, calibration, size tables."""
 
+import dataclasses
 import json
 import math
 
@@ -297,6 +298,21 @@ def test_run_experiment_take_all_matches_verify_property(fam_name, n, prop):
         assert cell["sample_size"] == n
         want = verify_property(prop, X, N, eps, p, fam_name).worst_margin
         assert [d["worst_margin"] for d in cell["trial_details"]] == [want] * 3
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("prop", ["relative", "relative_sensitive"])
+def test_run_experiment_interval_fast_path_bytes(prop, seed, monkeypatch):
+    # trials take only the worst margin (no tie-break); the interval fast
+    # path must give the margin kernel's experiment JSON byte for byte
+    cfg = _config(property=prop, source=SourceSpec(kind="uniform", n=200), trials=6, seed=seed,
+                  eps_values=(0.2, 0.4), p_values=(0.05, 0.3), C=0.002)
+    fast = run_experiment(cfg).to_json_bytes()
+    assert {d["passed"] for cell in json.loads(fast)["cells"] for d in cell["trial_details"]} == {
+        True, False
+    }
+    monkeypatch.setitem(PROPERTIES, prop, dataclasses.replace(PROPERTIES[prop], interval_worst=None))
+    assert run_experiment(cfg).to_json_bytes() == fast
 
 
 def test_run_experiment_budget_error_marks_cells():

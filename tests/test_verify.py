@@ -424,9 +424,9 @@ def test_approx_margin_matches_worst_deviation(seed):
 # ------------------------------------------------------ interval fast path
 
 
-def _kernel_report(prop, rs, N, eps):
+def _kernel_report(prop, rs, N, eps, p):
     """The kernel path: every range's counts through the margin kernel."""
-    margins = PROPERTIES[prop].margins(*_deviations(rs, N), rs.n, N.m, eps, None)
+    margins = PROPERTIES[prop].margins(*_deviations(rs, N), rs.n, N.m, eps, p)
     worst = float(np.min(margins))
     tied = np.nonzero(margins == worst)[0]
     return _report(prop, rs, worst, tied), worst, tied
@@ -448,31 +448,42 @@ def _interval_cases(draw):
         eps = draw(st.integers(min_value=1, max_value=n - 1)) / n
     else:
         eps = draw(st.floats(min_value=1e-3, max_value=0.999))
-    return xs.tolist(), indices.tolist(), eps
+    # p = i/n puts ranges exactly at r = p, where both relative clauses hold
+    if n > 1 and draw(st.booleans()):
+        p = draw(st.integers(min_value=1, max_value=n - 1)) / n
+    else:
+        p = draw(st.floats(min_value=1e-3, max_value=0.999))
+    return xs.tolist(), indices.tolist(), eps, p
 
 
 @given(_interval_cases())
-@example(([0.5] * 7, [0, 3, 3], 0.3))  # k = 1
-@example((list(range(9)), list(range(9)), 0.4))  # take_all
-@example(([0.1, 0.2, 0.2, 0.7, 0.9], [3], 0.5))  # m = 1
-@example((list(range(40)), [0, 5, 5, 17, 33, 39], 0.25))  # eps*n = 10 exactly
+@example(([0.5] * 7, [0, 3, 3], 0.3, 0.5))  # k = 1
+@example((list(range(9)), list(range(9)), 0.4, 1 / 3))  # take_all, p*n = 3
+@example(([0.1, 0.2, 0.2, 0.7, 0.9], [3], 0.5, 0.4))  # m = 1
+@example((list(range(40)), [0, 5, 5, 17, 33, 39], 0.25, 0.1))  # eps*n = 10, p*n = 4 exactly
+@example((list(range(30)), list(range(30)), 0.2, 0.05))  # 20 relative-sensitive levels
+# (1 - eps)(1 - REL_TOL) = 1/2 up to rounding, so the lower envelope sides of
+# runs {0} and {0, 1}, both worst, differ only in their last bits
+@example((list(range(6)), [1, 1] + [2, 3, 4, 5] * 5 + [2, 3], 1 - 0.5 / (1 - REL_TOL), 0.1))
+# run {0} is light and undrawn, so it ties with the empty range at the worst
+@example(([0.0] + [1.0] * 99, [1, 50, 99], 0.5, 0.015))
 def test_interval_fast_path_matches_kernel(case):
-    xs, indices, eps = case
+    xs, indices, eps, p = case
     X = GroundSet(np.asarray(xs))
     rs = induced_ranges(family("intervals"), X)
     N = _sample(indices, len(xs))
     P = rs.sample_prefix(N.multiplicities())
-    for prop in ("eps_net", "eps_approx"):
-        fast = verify_property(prop, X, N, eps, None, "intervals", ranges=rs)
-        kernel, worst, tied = _kernel_report(prop, rs, N, eps)
+    for prop in ("eps_net", "eps_approx", "relative", "relative_sensitive"):
+        fast = verify_property(prop, X, N, eps, p, "intervals", ranges=rs)
+        kernel, worst, tied = _kernel_report(prop, rs, N, eps, p)
         assert json.dumps(fast.to_json_dict()) == json.dumps(kernel.to_json_dict())
         # the hook itself: same worst margin and exactly the kernel's ties
         # (the empty range alone stands for a tie it is in)
-        found = PROPERTIES[prop].interval_worst(rs, P, len(xs), N.m, eps, True)
+        found = PROPERTIES[prop].interval_worst(rs, P, len(xs), N.m, eps, p, True)
         assert found is not None and found[0] == worst
         want = tied[:1] if tied[0] == 0 else tied
         assert np.array_equal(found[1], want)
-        assert _worst_margin(PROPERTIES[prop], rs, N, eps, None, False) == (worst, None)
+        assert _worst_margin(PROPERTIES[prop], rs, N, eps, p, False) == (worst, None)
 
 
 def test_interval_row_id_matches_enumeration():
@@ -497,11 +508,55 @@ def test_interval_approx_guard_defers_to_kernel():
     mult = np.array([2**51 + 2**40, 2**51 - 2**40, 2**51, 2**51], dtype=np.int64)
     N = SimpleNamespace(m=m, multiplicities=lambda: mult)
     prop = PROPERTIES["eps_approx"]
-    assert prop.interval_worst(rs, rs.sample_prefix(mult), 4, m, 0.5, True) is None
+    assert prop.interval_worst(rs, rs.sample_prefix(mult), 4, m, 0.5, None, True) is None
     margins = prop.margins(*_deviations(rs, N), 4, m, 0.5, None)
     worst = float(np.min(margins))
     got = _worst_margin(prop, rs, N, 0.5, None, True)
     assert got[0] == worst and np.array_equal(got[1], np.nonzero(margins == worst)[0])
+
+
+def test_interval_relative_keep_cap_defers_to_kernel():
+    # every light run holding point 150, 11,772 of them, has the one draw
+    # and ties at the worst cap, more runs than the fast paths score
+    rs = induced_ranges(family("intervals"), GroundSet(np.arange(300.0)))
+    N = _sample([150], 300)
+    P = rs.sample_prefix(N.multiplicities())
+    for name in ("relative", "relative_sensitive"):
+        prop = PROPERTIES[name]
+        assert prop.interval_worst(rs, P, 300, 1, 0.5, 0.51, True) is None
+        margins = prop.margins(*_deviations(rs, N), 300, 1, 0.5, 0.51)
+        worst = float(np.min(margins))
+        tied = np.nonzero(margins == worst)[0]
+        assert tied.size == 11_772
+        got = _worst_margin(prop, rs, N, 0.5, 0.51, True)
+        assert got[0] == worst and np.array_equal(got[1], tied)
+        assert _worst_margin(prop, rs, N, 0.5, 0.51, False) == (worst, None)
+
+
+@pytest.mark.parametrize(
+    "k, p, level_cap, defers",
+    [
+        # about 10**5 levels of floor(1/p) + 1 over 11 lo entries pass 2**20
+        (10, 1e-5, None, True),
+        # with no fixed allowance, a quarter of the 821 ranges (205) bounds
+        # the levels x (k + 1) entries: 5 x 41 stays, 6 x 41 defers
+        (40, 0.25, 0, False),
+        (40, 0.2, 0, True),
+    ],
+)
+def test_interval_relative_level_guard_defers_to_kernel(k, p, level_cap, defers, monkeypatch):
+    if level_cap is not None:
+        monkeypatch.setattr("vcsample.verify._LEVEL_CAP", level_cap)
+    X = GroundSet(np.arange(float(k)))
+    rs = induced_ranges(family("intervals"), X)
+    N = _sample(list(range(0, k, 3)) * 2, k)
+    prop = PROPERTIES["relative_sensitive"]
+    found = prop.interval_worst(rs, rs.sample_prefix(N.multiplicities()), k, N.m, 0.3, p, True)
+    assert (found is None) == defers
+    kernel, worst, _ = _kernel_report("relative_sensitive", rs, N, 0.3, p)
+    fast = verify_property("relative_sensitive", X, N, 0.3, p, "intervals", ranges=rs)
+    assert fast.to_json_dict() == kernel.to_json_dict()
+    assert _worst_margin(prop, rs, N, 0.3, p, False) == (worst, None)
 
 
 _INTERVAL_MEMORY = """
@@ -509,7 +564,10 @@ import resource, sys
 import numpy as np
 from vcsample.ranges import GroundSet, family, induced_ranges
 from vcsample.sampling import draw_sample
-from vcsample.verify import verify_eps_approx, verify_eps_net, verify_relative_sensitive
+from vcsample.verify import (
+    verify_eps_approx, verify_eps_net, verify_relative, verify_relative_sensitive,
+    verify_sensitive,
+)
 
 # ru_maxrss is in bytes on macOS and in KiB elsewhere
 unit = 2**20 if sys.platform == "darwin" else 2**10
@@ -520,17 +578,20 @@ def peak_mb():
 X = GroundSet(np.random.default_rng(5).random(5000))
 rs = induced_ranges(family("intervals"), X)
 N = draw_sample(X, 400, 5)
+M = draw_sample(X, 2000, 5)
 for rep in (verify_eps_net(X, N, 0.05, rs.family, ranges=rs),
-            verify_eps_approx(X, N, 0.1, rs.family, ranges=rs)):
+            verify_eps_approx(X, N, 0.1, rs.family, ranges=rs),
+            verify_relative(X, M, 0.1, 0.3, rs.family, ranges=rs),
+            verify_relative_sensitive(X, M, 0.1, 0.3, rs.family, ranges=rs)):
     assert rep.ranges_checked == 5000 * 5001 // 2 + 1
 fast_peak, counts_cached = peak_mb(), "counts" in rs.__dict__
-del X, rs, N
+del X, rs, N, M
 
 # the margin kernel path on 2,001,001 ranges, from the peak after enumeration
 X = GroundSet(np.random.default_rng(6).random(2000))
 rs = induced_ranges(family("intervals"), X)
 before = peak_mb()
-rep = verify_relative_sensitive(X, draw_sample(X, 2000, 6), 0.1, 0.3, rs.family, ranges=rs)
+rep = verify_sensitive(X, draw_sample(X, 2000, 6), 0.3, rs.family, ranges=rs)
 assert rep.ranges_checked == 2000 * 2001 // 2 + 1
 print(fast_peak, counts_cached, peak_mb() - before)
 """
@@ -538,12 +599,12 @@ print(fast_peak, counts_cached, peak_mb() - before)
 
 def test_interval_memory_stays_bounded():
     """Intervals at the default budget, n = 5000 (12.5M ranges), verified for
-    eps_net and eps_approx in a fresh interpreter: the fast paths read only
-    per-value arrays, so no per-range array is built and peak RSS stays far
-    below the 100 MB that a single int64 per range would take. Then
-    relative_sensitive at n = m = 2000 (2M ranges) on the kernel path, whose
-    elementwise clauses keep the peak within 200 MB of the enumeration's
-    (about 155 MB, ten 8-byte arrays of one entry per range)."""
+    eps_net, eps_approx, relative and relative_sensitive in a fresh
+    interpreter: the fast paths read only per-value arrays, so no per-range
+    array is built and peak RSS stays far below the 100 MB that a single
+    int64 per range would take. Then sensitive at n = m = 2000 (2M ranges)
+    on the kernel path, whose elementwise margins keep the peak within
+    200 MB of the enumeration's."""
     pytest.importorskip("resource")
     # a process keeps, across exec, the peak RSS of the memory image it
     # replaced (this test runner's), so the measured child is started from a
