@@ -12,8 +12,10 @@ On intervals, every property but sensitive takes a prefix-sum fast path
 instead (`Property.interval_worst`), from the per-value prefix sums of
 ground and sample counts. For eps_net and eps_approx the worst margin and
 its tied ranges come from those sums in O(n). For relative and
-relative_sensitive the sums pick out the few runs that can attain the
-worst margin, and the margin kernel scores just those. The integer counts
+relative_sensitive the sums pick out the few candidate lo values whose runs
+can attain the worst margin, and the margin kernel scores every run from
+those lo values, whole rows. Only a p so small that the per-level arrays
+would outgrow the kernel path sends these two to it. The integer counts
 and the final float expressions are the kernel's, so the reports are
 bit-identical to the kernel path's. The Monte-Carlo harness asks only for
 the worst margin and skips the tie-break on every property.
@@ -207,13 +209,17 @@ def _cap(s, e, base):
     return (1.0 + e) * base * _UP - s
 
 
-def _relative_kernel(r_cnt, s_cnt, n, m, eps, p):
-    # clause (i) on r >= p, clause (ii) on r <= p
+def _relative_clauses(r_cnt, s_cnt, n, m, eps, p):
+    # (clause (i) on r >= p, clause (ii) on r <= p)
     r, s = r_cnt / n, s_cnt / m
-    return np.minimum(
+    return (
         np.where(r_cnt >= p * n, _envelope(r, s, eps), math.inf),
         np.where(r_cnt <= p * n, _cap(s, eps, p), math.inf),
     )
+
+
+def _relative_kernel(r_cnt, s_cnt, n, m, eps, p):
+    return np.minimum(*_relative_clauses(r_cnt, s_cnt, n, m, eps, p))
 
 
 def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
@@ -289,26 +295,28 @@ def _interval_approx_worst(engine, P, n, m, eps, p, ties):
     return worst, np.sort(engine.row_id(lo, end - 1), axis=None)
 
 
-# The relative-style fast paths keep a few candidate runs and score them with
-# the kernel. A light run's cap (1 + e) base - s falls as s grows with hi, so
-# from each lo the longest run within a cap level's count limit carries that
-# level's worst cap; if it sits in a lower level, its own cap is no larger.
-# The envelope sides are differences of per-end values, s - (1 - e) r =
-# A[end] - A[lo] and (1 + e) r - s = B[end] - B[lo] with A = P/m - (1 - e)
-# cum/n and B = (1 + e) cum/n - P/m, so range-argmin tables over each
-# envelope band's ends find every run within _TOL of the least value. _TOL
-# exceeds twice the rounding error of these differences (a few ulp of
-# values at most 2), so the kept runs include every run whose kernel margin
-# is the worst one.
+# The relative-style fast paths pick out a few candidate lo values and score
+# every run from them with the kernel. best[lo] is the least cap or envelope
+# side of any run from lo. A light run's cap (1 + e) base - s falls as s
+# grows with hi, so from each lo the longest run within a cap level's count
+# limit carries that level's least cap. The envelope sides are differences
+# of per-end values, s - (1 - e) r = A[end] - A[lo] and (1 + e) r - s =
+# B[end] - B[lo] with A = P/m - (1 - e) cum/n and B = (1 + e) cum/n - P/m,
+# so range-argmin tables over each envelope band's ends give their least
+# values. _TOL exceeds twice the rounding error of these differences (a few
+# ulp of values at most 2), so every run whose kernel margin is the worst
+# one starts at a lo with best[lo] within _TOL of the least side. Scoring
+# those rows never costs more than the kernel path's scoring of every row.
 _TOL = 1e-12
-# the most runs a fast path scores before it defers to the kernel
-_KEEP_CAP = 10_000
-# Its per-level arrays cost about 150 bytes and 0.4 us per (level, lo)
-# entry, the kernel path about 80 bytes and 0.15 us per range (measured at
-# 2000 and 5000 distinct values), and a tiny p makes floor(1/p) levels. So
-# the fast path defers once the entries pass a quarter of the range count,
-# short of where the kernel path turns faster, unless they stay within
-# _LEVEL_CAP (about 150 MB).
+# The one deferral: the per-level arrays cost about 140 bytes and 0.3 us per
+# (level, lo) entry, the kernel path about 80 bytes and 0.12 us per range,
+# and a tiny p makes floor(1/p) levels. (Fresh process, m = 2000, eps = 0.1,
+# shared 2-core Xeon: n = 2000, p = 1/500, 1.0M entries, 0.29 s and 178 MB
+# peak, the kernel path 0.24 s and 192 MB; n = 5000, p = 1/600, 3.0M
+# entries, 0.94 s and 463 MB.)
+# So the fast path defers once the entries pass a quarter of the range
+# count, short of where the kernel path turns faster, unless they stay
+# within _LEVEL_CAP (about 150 MB).
 _LEVEL_CAP = 1 << 20
 
 
@@ -347,17 +355,14 @@ def _interval_relative_style(
     k = cum.shape[0] - 1
     if thresholds.shape[0] * (k + 1) > max(_LEVEL_CAP, len(engine) // 4):
         return None
-    lo = np.arange(k)
 
     # cap level j: E[j-1, lo] ends the longest run from lo within its count
     # limit, and the level's own runs from lo end in (prev, E]
     limit = np.floor(thresholds[: cap_eps.shape[0]])
     E = np.searchsorted(cum, cum[:-1] + limit[:, None], side="right") - 1
-    prev = np.vstack([lo, E[:-1]])
+    prev = np.vstack([np.arange(k), E[:-1]])
     top = _cap(0.0, cap_eps, cap_base)
-    cap = top[:, None] - (P[E] - P[:-1]) / m
-    # the empty range holds to the first cap at s = 0
-    least = min(float(cap[E > prev].min(initial=math.inf)), float(top[0]))
+    best = np.where(E > prev, top[:, None] - (P[E] - P[:-1]) / m, math.inf).min(axis=0)
 
     # envelope band i: G[i-1, lo] is the first end whose run from lo reaches
     # it; rows of V are the A values of every band, then the B values
@@ -372,49 +377,24 @@ def _interval_relative_style(
     row, at = np.nonzero(a < b)
     a, b = a[row, at], b[row, at]
     tables = _argmin_tables(V, int((b - a).max(initial=1)).bit_length() - 1)
-    pos = _argmin(V, tables, row, a, b)
-    val = V[row, pos] - V[row, at]
-    tau = min(least, float(val.min(initial=math.inf))) + _TOL
+    side = np.full((V.shape[0], k), math.inf)
+    side[row, at] = V[row, _argmin(V, tables, row, a, b)] - V[row, at]
+    best = np.minimum(best, side.min(axis=0))
+    # the empty range holds to the first cap at s = 0
+    tau = min(float(best.min()), float(top[0])) + _TOL
 
-    # kept cap runs: from lo, the level's own runs with at least `need` hits,
-    # the fewest whose cap can be within tau (cap falls as hits grow); the
-    # estimate's rounding is under one hit, which the one spare hit covers
-    need = np.maximum(np.ceil((top - tau) * m) - 1, 0)
-    start = np.maximum(np.searchsorted(P, P[:-1] + need[:, None], side="left"), prev + 1)
-    count = np.maximum(E - start + 1, 0).ravel()
-    kept = int(count.sum())
-    if kept > _KEEP_CAP:
-        return None
-    offsets = np.arange(kept) - np.repeat(np.cumsum(count) - count, count)
-    found_lo = [np.repeat(np.broadcast_to(lo, E.shape).ravel(), count)]
-    found_end = [np.repeat(start.ravel(), count) + offsets]
-
-    # kept envelope runs: each window whose least value is within tau gives
-    # that end, then is searched again on either side of it
-    while pos.size:
-        keep = val <= tau
-        row, at, a, b, pos = row[keep], at[keep], a[keep], b[keep], pos[keep]
-        kept += pos.size
-        if kept > _KEEP_CAP:
-            return None
-        found_lo.append(at)
-        found_end.append(pos)
-        row, at = np.tile(row, 2), np.tile(at, 2)
-        a, b = np.concatenate([a, pos + 1]), np.concatenate([pos, b])
-        row, at, a, b = (x[a < b] for x in (row, at, a, b))
-        pos = _argmin(V, tables, row, a, b)
-        val = V[row, pos] - V[row, at]
-
-    lo, end = np.concatenate(found_lo), np.concatenate(found_end)
-    ids, first = np.unique(engine.row_id(lo, end - 1), return_index=True)
-    lo, end = lo[first], end[first]
-    ids = np.concatenate(([0], ids))
+    # every run from each candidate lo, and the empty range; the runs from
+    # one lo have consecutive ids, so the ids come out ascending
+    pick = np.flatnonzero(best <= tau).tolist()
     margin = margins(
-        np.concatenate(([0], cum[end] - cum[lo])), np.concatenate(([0], P[end] - P[lo]))
+        np.concatenate([[0], *(cum[lo + 1 :] - cum[lo] for lo in pick)]),
+        np.concatenate([[0], *(P[lo + 1 :] - P[lo] for lo in pick)]),
     )
     worst = float(margin.min())
     if not ties:
         return worst, None
+    starts = engine._starts
+    ids = np.concatenate([[0], *(np.arange(starts[lo], starts[lo + 1]) for lo in pick)])
     tied = ids[margin == worst]
     # the empty range alone stands for a tie it is in
     return worst, tied[:1] if tied[0] == 0 else tied
@@ -661,9 +641,7 @@ def check_sensitive_implies_relative(
     n, m = len(X), N.m
     if not np.min(_sensitive_margins(r_cnt, s_cnt, n, m, eps_prime, None)) >= 0.0:
         return True
-    r, s = r_cnt / n, s_cnt / m
-    clause_i = np.where(r_cnt >= p * n, _envelope(r, s, eps), math.inf)
-    clause_ii = np.where(r_cnt <= p * n, _cap(s, eps, p), math.inf)
+    clause_i, clause_ii = _relative_clauses(r_cnt, s_cnt, n, m, eps, p)
     clause_i_ok = bool(np.min(clause_i) >= 0.0)
     clause_ii_ok = bool(np.min(clause_ii) >= 0.0)
     log.info(

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import random_coords, run_fresh
@@ -467,6 +467,10 @@ def _interval_cases(draw):
 @example((list(range(6)), [1, 1] + [2, 3, 4, 5] * 5 + [2, 3], 1 - 0.5 / (1 - REL_TOL), 0.1))
 # run {0} is light and undrawn, so it ties with the empty range at the worst
 @example(([0.0] + [1.0] * 99, [1, 50, 99], 0.5, 0.015))
+# the worst runs start at three lo values: {0, 1, 2}, {1, 2, 3} and {2, 3, 4}
+# each hold 3 of the 7 draws and tie at the lower envelope side
+@example((list(range(6)), [0, 0, 1, 3, 3, 4, 5], 5 / 6, 0.5))
+@settings(max_examples=500)
 def test_interval_fast_path_matches_kernel(case):
     xs, indices, eps, p = case
     X = GroundSet(np.asarray(xs))
@@ -515,21 +519,21 @@ def test_interval_approx_guard_defers_to_kernel():
     assert got[0] == worst and np.array_equal(got[1], np.nonzero(margins == worst)[0])
 
 
-def test_interval_relative_keep_cap_defers_to_kernel():
-    # every light run holding point 150, 11,772 of them, has the one draw
-    # and ties at the worst cap, more runs than the fast paths score
+def test_interval_relative_large_tie_matches_kernel():
+    # every light run holding point 150, 11,772 of them from 151 lo values,
+    # has the one draw and ties at the worst cap
     rs = induced_ranges(family("intervals"), GroundSet(np.arange(300.0)))
     N = _sample([150], 300)
     P = rs.sample_prefix(N.multiplicities())
     for name in ("relative", "relative_sensitive"):
         prop = PROPERTIES[name]
-        assert prop.interval_worst(rs, P, 300, 1, 0.5, 0.51, True) is None
         margins = prop.margins(*_deviations(rs, N), 300, 1, 0.5, 0.51)
         worst = float(np.min(margins))
         tied = np.nonzero(margins == worst)[0]
         assert tied.size == 11_772
-        got = _worst_margin(prop, rs, N, 0.5, 0.51, True)
-        assert got[0] == worst and np.array_equal(got[1], tied)
+        found = prop.interval_worst(rs, P, 300, 1, 0.5, 0.51, True)
+        assert found is not None and found[0] == worst
+        assert np.array_equal(found[1], tied)
         assert _worst_margin(prop, rs, N, 0.5, 0.51, False) == (worst, None)
 
 
