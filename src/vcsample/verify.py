@@ -9,16 +9,15 @@ accumulation), and reports the tightest constraint as a signed margin.
 `passed` is exactly `worst_margin >= 0`.
 
 On intervals, every property but sensitive takes a prefix-sum fast path
-instead (`Property.interval_worst`), from the per-value prefix sums of
-ground and sample counts. For eps_net and eps_approx the worst margin and
-its tied ranges come from those sums in O(n). For relative and
-relative_sensitive the sums pick out the few candidate lo values whose runs
-can attain the worst margin, and the margin kernel scores every run from
-those lo values, whole rows. Only a p so small that the per-level arrays
-would outgrow the kernel path sends these two to it. The integer counts
-and the final float expressions are the kernel's, so the reports are
-bit-identical to the kernel path's. The Monte-Carlo harness asks only for
-the worst margin and skips the tie-break on every property.
+instead (`Property.interval_worst`). From the per-value prefix sums of
+ground and sample counts it finds, per lo value, the least margin of the
+runs from it (within a tolerance for relative and relative_sensitive), and
+then one blocked row scorer runs the margin kernel over every run from the
+lo values that can hold the worst margin. Only a p so small that the
+per-level arrays would outgrow the kernel path sends the relative-style two
+to it. The integer counts and the final float expressions are the
+kernel's, so the reports are bit-identical to the kernel path's. The
+Monte-Carlo harness asks only for the worst margin and skips the tie-break.
 
 Inequalities carry a relative slack of REL_TOL in favor of passing: true
 weights are exact rationals, so near-ties only arise from rounding on the
@@ -222,29 +221,68 @@ def _relative_kernel(r_cnt, s_cnt, n, m, eps, p):
     return np.minimum(*_relative_clauses(r_cnt, s_cnt, n, m, eps, p))
 
 
+def _ladder(n, eps, p, sensitive):
+    """(thresholds, env_eps, cap_eps, cap_base): envelope band i (from 1),
+    thresholds[i-1] <= r_cnt < thresholds[i] (the last open above), at
+    env_eps[i-1]; cap level j, thresholds[j-2] < r_cnt <= thresholds[j-1], at
+    (1 + cap_eps[j-1]) cap_base[j-1]. Plain relative is one level, and
+    relative_sensitive floor(1/p) levels (i p, eps/sqrt(i)) and one band more."""
+    levels = max(1, int(math.floor(1.0 / p))) if sensitive else 1
+    i = np.arange(1.0, levels + 1 + sensitive)
+    e = eps / np.sqrt(i)
+    return i * (p * n), e, e[:levels], (i * p)[:levels]
+
+
 def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
-    levels = max(1, int(math.floor(1.0 / p)))
-    # thresholds[i - 1] = i*pn, the float products the clauses compare
-    # against; the last one, (levels + 2)*pn, exceeds n >= r_cnt
-    thresholds = np.arange(1, levels + 3) * (p * n)
+    thresholds, env_eps, cap_eps, cap_base = _ladder(n, eps, p, True)
     r, s = r_cnt / n, s_cnt / m
 
-    # binding envelope level of a heavy range: largest i with r_cnt >= i*pn;
-    # it is 0 on light ranges, whose unused envelope divides by 1 instead
-    i_star = np.searchsorted(thresholds, r_cnt, side="right")
-    env = _envelope(r, s, eps / np.sqrt(np.maximum(i_star, 1)))
-    env = np.where(i_star >= 1, env, math.inf)
-
-    # binding cap level: smallest j with r_cnt <= j*pn, which is 1 for light
-    # ranges, so they get the plain relative clause (ii) expression
-    j = (np.searchsorted(thresholds, r_cnt, side="left") + 1).astype(np.float64)
-    return np.minimum(env, np.where(j <= levels, _cap(s, eps / np.sqrt(j), j * p), math.inf))
+    # binding envelope band, from 1: largest i with r_cnt >= thresholds[i-1],
+    # 0 on light ranges (no envelope); binding cap level, from 0: smallest j
+    # with r_cnt <= thresholds[j], 0 on light ranges (plain clause (ii))
+    i = np.searchsorted(thresholds, r_cnt, side="right")
+    j = np.searchsorted(thresholds, r_cnt, side="left")
+    env = np.where(i >= 1, _envelope(r, s, np.take(env_eps, i - 1, mode="clip")), math.inf)
+    cap = _cap(s, np.take(cap_eps, j, mode="clip"), np.take(cap_base, j, mode="clip"))
+    return np.minimum(env, np.where(j < cap_eps.shape[0], cap, math.inf))
 
 
-# Interval fast paths: the worst margin and, with ties set, the ascending
-# ids of every range attaining it, from the per-group prefix sums `cum`
-# (ground) and P (sample), where run (lo, hi) holds cum[hi+1] - cum[lo]
-# points. None sends the caller to the kernel path.
+# Interval fast paths, from the per-group prefix sums `cum` (ground) and P
+# (sample), where run (lo, hi) holds cum[hi+1] - cum[lo] points: each finds
+# best[lo], the least margin of the runs from lo, for `_score_rows`, which
+# scores at most the kernel path's runs, about _BLOCK at a time so that its
+# memory stays bounded. None sends the caller to the kernel path.
+_BLOCK = 1 << 18
+
+
+def _score_rows(engine, P, ties, margins, best, tol):
+    """The worst margin over the empty range and the runs from each lo whose
+    best[lo] (their least margin, up to tol) is within tol of the least one,
+    and with ties set the ascending ids of the ranges attaining it, the empty
+    range alone for a tie it is in. margins(r_cnt, s_cnt) is the kernel."""
+    cum, starts = engine._cum, engine._starts
+    empty = np.zeros(1, dtype=np.int64)
+    worst, tied = float(margins(empty, empty)[0]), None  # None: the empty range ties
+    # a run no worse than the empty range can only tie it, which it wins
+    pick = np.flatnonzero((best <= best.min() + tol) & (best < worst + tol))
+    # a block takes the rows that start in one window of _BLOCK ids; the
+    # runs from one lo have consecutive ids, so the ids come out ascending
+    window = starts[pick] // _BLOCK
+    for w in np.unique(window):
+        los = pick[window == w].tolist()
+        margin = margins(
+            np.concatenate([cum[lo + 1 :] - cum[lo] for lo in los]),
+            np.concatenate([P[lo + 1 :] - P[lo] for lo in los]),
+        )
+        least = float(margin.min())
+        if least < worst:
+            worst, tied = least, []
+        if ties and tied is not None and least == worst:
+            ids = np.concatenate([np.arange(starts[lo], starts[lo + 1]) for lo in los])
+            tied.append(ids[margin == worst])
+    if not ties:
+        return worst, None
+    return worst, empty if tied is None else np.concatenate(tied)
 
 
 def _interval_net_worst(engine, P, n, m, eps, p, ties):
@@ -262,51 +300,39 @@ def _interval_net_worst(engine, P, n, m, eps, p, ties):
     worst = float((least - 1) / m)
     if not ties:
         return worst, None
-    at = hits == least
-    lo, end = lo[at], end[at]
-    # from each such lo, the tied runs end anywhere up to the last hi whose
-    # run still has `least` hits; ids of one lo are consecutive
-    last = np.searchsorted(P, P[lo] + least, side="right") - 1
-    first = engine.row_id(lo, end - 1)
-    run = last - end + 1
-    offsets = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
-    return worst, np.repeat(first, run) + offsets
+    # the runs from a lo with no heavy run are all unconstrained
+    best = np.full(k, math.inf)
+    best[lo] = (hits - 1) / m
+    return _score_rows(
+        engine, P, True, lambda r, s: _net_margins(r, s, n, m, eps, p), best, 0.0
+    )
 
 
 def _interval_approx_worst(engine, P, n, m, eps, p, ties):
     # D[b] - D[a] = r_cnt*m - s_cnt*n for the run of groups a..b-1, so the
-    # largest deviation numerator is max D - min D
+    # runs from lo deviate most toward the largest or the least D past lo
     D = engine._cum * m - P * n
-    top, bottom = int(D.max()), int(D.min())
-    numer = top - bottom
-    scale = float(n * m)
-    worst = eps * _UP - float(numer) / scale
-    if numer > 0 and eps * _UP - float(numer - 1) / scale == worst:
-        # smaller numerators round to the same margin and would tie too
-        return None
-    if not ties:
-        return worst, None
-    if numer == 0:
-        # every range deviates by 0, and the empty range wins that tie
-        return worst, np.zeros(1, dtype=np.int64)
-    i = np.flatnonzero(D == top)[:, None]
-    j = np.flatnonzero(D == bottom)[None, :]
-    lo, end = np.minimum(i, j), np.maximum(i, j)
-    return worst, np.sort(engine.row_id(lo, end - 1), axis=None)
+    top = np.maximum.accumulate(D[:0:-1])[::-1]
+    bottom = np.minimum.accumulate(D[:0:-1])[::-1]
+    numer = np.maximum(top - D[:-1], D[:-1] - bottom)
+    # the kernel's float expression, monotone in the numerator: best is exact,
+    # and every lo holding a run that rounds to the worst margin is picked
+    best = eps * _UP - numer / (n * m)
+    return _score_rows(
+        engine, P, ties, lambda r, s: _approx_margins(r, s, n, m, eps, p), best, 0.0
+    )
 
 
-# The relative-style fast paths pick out a few candidate lo values and score
-# every run from them with the kernel. best[lo] is the least cap or envelope
-# side of any run from lo. A light run's cap (1 + e) base - s falls as s
-# grows with hi, so from each lo the longest run within a cap level's count
-# limit carries that level's least cap. The envelope sides are differences
-# of per-end values, s - (1 - e) r = A[end] - A[lo] and (1 + e) r - s =
-# B[end] - B[lo] with A = P/m - (1 - e) cum/n and B = (1 + e) cum/n - P/m,
-# so range-argmin tables over each envelope band's ends give their least
-# values. _TOL exceeds twice the rounding error of these differences (a few
-# ulp of values at most 2), so every run whose kernel margin is the worst
-# one starts at a lo with best[lo] within _TOL of the least side. Scoring
-# those rows never costs more than the kernel path's scoring of every row.
+# The relative-style fast paths: best[lo] is, within _TOL, the least cap or
+# envelope side of any run from lo. A light run's cap (1 + e) base - s falls
+# as s grows with hi, so from each lo the longest run within a cap level's
+# count limit carries that level's least cap. The envelope sides are
+# differences of per-end values, s - (1 - e) r = A[end] - A[lo] and
+# (1 + e) r - s = B[end] - B[lo] with A = P/m - (1 - e) cum/n and
+# B = (1 + e) cum/n - P/m, so range-argmin tables over each envelope band's
+# ends give their least values. _TOL exceeds twice the rounding error of
+# these differences (a few ulp of values at most 2), so every run whose
+# kernel margin is the worst one starts at a lo that the row scorer picks.
 _TOL = 1e-12
 # The one deferral: the per-level arrays cost about 140 bytes and 0.3 us per
 # (level, lo) entry, the kernel path about 80 bytes and 0.12 us per range,
@@ -343,14 +369,9 @@ def _argmin(V, tables, row, a, b):
     return np.where(V[row, i] <= V[row, j], i, j).astype(np.int64)
 
 
-def _interval_relative_style(
-    engine, P, n, m, ties, margins, thresholds, env_eps, cap_eps, cap_base
-):
-    """The shared fast path. Envelope band i (from 1) holds the runs with
-    thresholds[i-1] <= r_cnt < thresholds[i], the last band open above, at
-    envelope parameter env_eps[i-1]; cap level j holds the runs with
-    thresholds[j-2] < r_cnt <= thresholds[j-1] under the cap
-    (1 + cap_eps[j-1]) cap_base[j-1]. margins(r_cnt, s_cnt) is the kernel."""
+def _interval_relative_style(engine, P, n, m, ties, margins, ladder):
+    """The shared fast path over a `_ladder`; margins(r_cnt, s_cnt) is the kernel."""
+    thresholds, env_eps, cap_eps, cap_base = ladder
     cum = engine._cum
     k = cum.shape[0] - 1
     if thresholds.shape[0] * (k + 1) > max(_LEVEL_CAP, len(engine) // 4):
@@ -380,42 +401,20 @@ def _interval_relative_style(
     side = np.full((V.shape[0], k), math.inf)
     side[row, at] = V[row, _argmin(V, tables, row, a, b)] - V[row, at]
     best = np.minimum(best, side.min(axis=0))
-    # the empty range holds to the first cap at s = 0
-    tau = min(float(best.min()), float(top[0])) + _TOL
-
-    # every run from each candidate lo, and the empty range; the runs from
-    # one lo have consecutive ids, so the ids come out ascending
-    pick = np.flatnonzero(best <= tau).tolist()
-    margin = margins(
-        np.concatenate([[0], *(cum[lo + 1 :] - cum[lo] for lo in pick)]),
-        np.concatenate([[0], *(P[lo + 1 :] - P[lo] for lo in pick)]),
-    )
-    worst = float(margin.min())
-    if not ties:
-        return worst, None
-    starts = engine._starts
-    ids = np.concatenate([[0], *(np.arange(starts[lo], starts[lo + 1]) for lo in pick)])
-    tied = ids[margin == worst]
-    # the empty range alone stands for a tie it is in
-    return worst, tied[:1] if tied[0] == 0 else tied
+    return _score_rows(engine, P, ties, margins, best, _TOL)
 
 
 def _interval_relative_worst(engine, P, n, m, eps, p, ties):
     return _interval_relative_style(
         engine, P, n, m, ties, lambda r, s: _relative_kernel(r, s, n, m, eps, p),
-        np.array([p * n]), np.array([eps]), np.array([eps]), np.array([p]),
+        _ladder(n, eps, p, False),
     )
 
 
 def _interval_relative_sensitive_worst(engine, P, n, m, eps, p, ties):
-    levels = max(1, int(math.floor(1.0 / p)))
-    # the kernel's level thresholds i*pn; no run reaches (levels + 2)*pn > n,
-    # so envelope band levels + 1 is the last one
-    i = np.arange(1.0, levels + 2)
-    e = eps / np.sqrt(i)
     return _interval_relative_style(
         engine, P, n, m, ties, lambda r, s: _relative_sensitive_margins(r, s, n, m, eps, p),
-        i * (p * n), e, e[:levels], (i * p)[:levels],
+        _ladder(n, eps, p, True),
     )
 
 
@@ -606,8 +605,8 @@ def check_sensitive_implies_net_approx(
     sitting exactly at r = eps^2 with no draws satisfies the sensitive
     inequality with zero slack while missing the net); flag it loudly.
     """
-    engine = _engine(X, N, fam, budget, ranges)
     eps = _check_unit("eps", eps)
+    engine = _engine(X, N, fam, budget, ranges)
     counts = (*_deviations(engine, N), len(X), N.m)
     if not np.min(_sensitive_margins(*counts, eps, None)) >= 0.0:
         return True

@@ -284,6 +284,21 @@ def test_parameter_validation():
         verify_relative_sensitive(X, N, -0.1, 0.5, "intervals")
 
 
+def test_implication_checks_validate_before_enumerating(monkeypatch):
+    # a bad eps is refused before the ranges are enumerated, which can take
+    # minutes for a planar family at its budget
+    def enumerate_fails(*args):
+        raise AssertionError("ranges enumerated before eps was checked")
+
+    monkeypatch.setattr("vcsample.verify.induced_ranges", enumerate_fails)
+    X = GroundSet(np.arange(0.0, 5.0))
+    N = _sample([0, 1], 5)
+    with pytest.raises(ParameterError):
+        check_sensitive_implies_net_approx(X, N, 1.5, "intervals")
+    with pytest.raises(ParameterError):
+        check_sensitive_implies_relative(X, N, 0.5, 1.5, "intervals")
+
+
 def test_sample_ground_mismatch():
     X = GroundSet(np.arange(0.0, 5.0))
     N = _sample([0, 1], 7)
@@ -504,37 +519,59 @@ def test_interval_row_id_matches_enumeration():
                 rs.witness(row)
 
 
-def test_interval_approx_guard_defers_to_kernel():
+def test_interval_approx_rounding_ties_match_kernel():
     # at n*m = 2**55 the margins of numerators 2**42 and 2**42 - 1 round to
-    # the same float, so the fast path cannot tell its ties apart
+    # the same float, so runs of both deviations tie at the worst margin
     rs = induced_ranges(family("intervals"), GroundSet(np.arange(4.0)))
     m = 2**53
     mult = np.array([2**51 + 2**40, 2**51 - 2**40, 2**51, 2**51], dtype=np.int64)
     N = SimpleNamespace(m=m, multiplicities=lambda: mult)
     prop = PROPERTIES["eps_approx"]
-    assert prop.interval_worst(rs, rs.sample_prefix(mult), 4, m, 0.5, None, True) is None
     margins = prop.margins(*_deviations(rs, N), 4, m, 0.5, None)
     worst = float(np.min(margins))
+    tied = np.nonzero(margins == worst)[0]
+    assert worst == 0.49987793018750004 and tied.tolist() == [1, 5, 6, 7]
+    found = prop.interval_worst(rs, rs.sample_prefix(mult), 4, m, 0.5, None, True)
+    assert found[0] == worst and np.array_equal(found[1], tied)
     got = _worst_margin(prop, rs, N, 0.5, None, True)
-    assert got[0] == worst and np.array_equal(got[1], np.nonzero(margins == worst)[0])
+    assert got[0] == worst and np.array_equal(got[1], tied)
+    assert _worst_margin(prop, rs, N, 0.5, None, False) == (worst, None)
 
 
-def test_interval_relative_large_tie_matches_kernel():
-    # every light run holding point 150, 11,772 of them from 151 lo values,
-    # has the one draw and ties at the worst cap
+# (property, draws, eps, tied runs) on 300 distinct values, p = 0.51: each
+# worst margin is tied by thousands of runs from many lo values
+_LARGE_TIES = [
+    # every heavy run from lo >= 1 misses the one draw, at point 0
+    ("eps_net", [0], 0.1, 36_585),
+    # a draw on every even point: each run of odd length deviates by 1/300
+    ("eps_approx", list(range(0, 300, 2)), 0.5, 22_650),
+    # every light run holding point 150, from 151 lo values, has the one
+    # draw and ties at the worst cap
+    ("relative", [150], 0.5, 11_772),
+    ("relative_sensitive", [150], 0.5, 11_772),
+]
+
+
+def test_interval_relative_large_tie_matches_kernel(monkeypatch):
+    """The row scorer's ties equal the kernel's, whole and split over blocks
+    of 64 runs."""
     rs = induced_ranges(family("intervals"), GroundSet(np.arange(300.0)))
-    N = _sample([150], 300)
-    P = rs.sample_prefix(N.multiplicities())
-    for name in ("relative", "relative_sensitive"):
-        prop = PROPERTIES[name]
-        margins = prop.margins(*_deviations(rs, N), 300, 1, 0.5, 0.51)
-        worst = float(np.min(margins))
-        tied = np.nonzero(margins == worst)[0]
-        assert tied.size == 11_772
-        found = prop.interval_worst(rs, P, 300, 1, 0.5, 0.51, True)
-        assert found is not None and found[0] == worst
-        assert np.array_equal(found[1], tied)
-        assert _worst_margin(prop, rs, N, 0.5, 0.51, False) == (worst, None)
+    for block in (None, 64):
+        if block is not None:
+            monkeypatch.setattr("vcsample.verify._BLOCK", block)
+        for name, draws, eps, size in _LARGE_TIES:
+            N = _sample(draws, 300)
+            prop = PROPERTIES[name]
+            margins = prop.margins(*_deviations(rs, N), 300, N.m, eps, 0.51)
+            worst = float(np.min(margins))
+            tied = np.nonzero(margins == worst)[0]
+            assert tied.size == size
+            found = prop.interval_worst(
+                rs, rs.sample_prefix(N.multiplicities()), 300, N.m, eps, 0.51, True
+            )
+            assert found is not None and found[0] == worst
+            assert np.array_equal(found[1], tied)
+            assert _worst_margin(prop, rs, N, eps, 0.51, False) == (worst, None)
 
 
 @pytest.mark.parametrize(
@@ -567,10 +604,10 @@ _INTERVAL_MEMORY = """
 import resource, sys
 import numpy as np
 from vcsample.ranges import GroundSet, family, induced_ranges
-from vcsample.sampling import draw_sample
+from vcsample.sampling import Sample, draw_sample
 from vcsample.verify import (
-    verify_eps_approx, verify_eps_net, verify_relative, verify_relative_sensitive,
-    verify_sensitive,
+    PROPERTIES, _worst_margin, verify_eps_approx, verify_eps_net, verify_relative,
+    verify_relative_sensitive, verify_sensitive,
 )
 
 # ru_maxrss is in bytes on macOS and in KiB elsewhere
@@ -578,6 +615,16 @@ unit = 2**20 if sys.platform == "darwin" else 2**10
 
 def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+# the worst tie of relative_sensitive on 2000 values: 1.5M of the 2.0M runs
+# scored, 520,310 of them tied
+rs = induced_ranges(family("intervals"), GroundSet(np.arange(2000.0)))
+N = Sample(indices=np.array([1000]), m=1, seed=0, ground_size=2000)
+before = peak_mb()
+_, tied = _worst_margin(PROPERTIES["relative_sensitive"], rs, N, 0.5, 0.51, True)
+assert tied.size == 520_310
+tie_growth = peak_mb() - before
+del rs, N, tied
 
 X = GroundSet(np.random.default_rng(5).random(5000))
 rs = induced_ranges(family("intervals"), X)
@@ -597,18 +644,20 @@ rs = induced_ranges(family("intervals"), X)
 before = peak_mb()
 rep = verify_sensitive(X, draw_sample(X, 2000, 6), 0.3, rs.family, ranges=rs)
 assert rep.ranges_checked == 2000 * 2001 // 2 + 1
-print(fast_peak, counts_cached, peak_mb() - before)
+print(tie_growth, fast_peak, counts_cached, peak_mb() - before)
 """
 
 
 def test_interval_memory_stays_bounded():
-    """Intervals at the default budget, n = 5000 (12.5M ranges), verified for
-    eps_net, eps_approx, relative and relative_sensitive in a fresh
-    interpreter: the fast paths read only per-value arrays, so no per-range
-    array is built and peak RSS stays far below the 100 MB that a single
-    int64 per range would take. Then sensitive at n = m = 2000 (2M ranges)
-    on the kernel path, whose elementwise margins keep the peak within
-    200 MB of the enumeration's."""
+    """In a fresh interpreter: first the worst tie of relative_sensitive on
+    2000 values, whose 1.5M scored runs go through the kernel in blocks, so
+    the peak grows by less than 64 MB. Then intervals at the default budget,
+    n = 5000 (12.5M ranges), verified for eps_net, eps_approx, relative and
+    relative_sensitive: the fast paths read only per-value arrays, so no
+    per-range array is built and peak RSS stays far below the 100 MB that a
+    single int64 per range would take. Then sensitive at n = m = 2000 (2M
+    ranges) on the kernel path, whose elementwise margins keep the peak
+    within 200 MB of the enumeration's."""
     pytest.importorskip("resource")
     # a process keeps, across exec, the peak RSS of the memory image it
     # replaced (this test runner's), so the measured child is started from a
@@ -619,7 +668,8 @@ def test_interval_memory_stays_bounded():
     )
     proc = run_fresh([sys.executable, "-c", hop])
     assert proc.returncode == 0, proc.stderr
-    peak_mb, counts_cached, kernel_growth_mb = proc.stdout.split()
+    tie_growth_mb, peak_mb, counts_cached, kernel_growth_mb = proc.stdout.split()
+    assert float(tie_growth_mb) < 64.0
     assert float(peak_mb) < 120.0
     assert counts_cached == "False"
     assert float(kernel_growth_mb) < 200.0
