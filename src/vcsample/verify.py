@@ -8,15 +8,15 @@ exact integer counts (one float division at comparison time, no
 accumulation), and reports the tightest constraint as a signed margin.
 `passed` is exactly `worst_margin >= 0`.
 
-On intervals, every property but sensitive takes a prefix-sum fast path
-instead (`Property.interval_worst`). From the per-value prefix sums of
-ground and sample counts it finds, per lo value, the least margin of the
-runs from it (within a tolerance for relative and relative_sensitive), and
-then one blocked row scorer runs the margin kernel over every run from the
-lo values that can hold the worst margin. Only a p so small that the
-per-level arrays would outgrow the kernel path sends the relative-style two
-to it. The integer counts and the final float expressions are the
-kernel's, so the reports are bit-identical to the kernel path's. The
+On intervals no per-range array is built: one blocked row scorer runs the
+margin kernel, about _BLOCK runs at a time, over the runs from chosen lo
+values, counting from per-value prefix sums. Every property but sensitive
+has a prefix-sum fast path (`Property.interval_worst`) that finds per lo
+the least margin of its runs (within a tolerance for the relative-style
+two), so only the lo values that can hold the worst margin are scored;
+sensitive, and a relative-style p so small that the per-level arrays would
+outgrow the row scorer, score every run. Counts and float expressions are
+the kernel's, so the reports are bit-identical to the kernel path's. The
 Monte-Carlo harness asks only for the worst margin and skips the tie-break.
 
 Inequalities carry a relative slack of REL_TOL in favor of passing: true
@@ -187,9 +187,9 @@ def _approx_margins(r_cnt, s_cnt, n, m, eps, p):
 
 def _sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
     dev = np.abs(r_cnt * m - s_cnt * n) / (n * m)
-    r = r_cnt / n
-    allowance = (eps / 2.0) * (np.sqrt(r) + eps)
-    return allowance * _UP - dev
+    # r_cnt only takes the values 0..n: the allowance per count, gathered
+    allowance = (eps / 2.0) * (np.sqrt(np.arange(n + 1) / n) + eps) * _UP
+    return allowance[r_cnt] - dev
 
 
 # The two clauses of the relative-style guarantees, on weights r = r_cnt/n
@@ -239,9 +239,10 @@ def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
 
     # binding envelope band, from 1: largest i with r_cnt >= thresholds[i-1],
     # 0 on light ranges (no envelope); binding cap level, from 0: smallest j
-    # with r_cnt <= thresholds[j], 0 on light ranges (plain clause (ii))
-    i = np.searchsorted(thresholds, r_cnt, side="right")
-    j = np.searchsorted(thresholds, r_cnt, side="left")
+    # with r_cnt <= thresholds[j], 0 on light ranges (plain clause (ii)); both
+    # found once per count 0..n, the only values r_cnt takes, and gathered
+    i = np.searchsorted(thresholds, np.arange(n + 1), side="right")[r_cnt]
+    j = np.searchsorted(thresholds, np.arange(n + 1), side="left")[r_cnt]
     env = np.where(i >= 1, _envelope(r, s, np.take(env_eps, i - 1, mode="clip")), math.inf)
     cap = _cap(s, np.take(cap_eps, j, mode="clip"), np.take(cap_base, j, mode="clip"))
     return np.minimum(env, np.where(j < cap_eps.shape[0], cap, math.inf))
@@ -250,9 +251,11 @@ def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
 # Interval fast paths, from the per-group prefix sums `cum` (ground) and P
 # (sample), where run (lo, hi) holds cum[hi+1] - cum[lo] points: each finds
 # best[lo], the least margin of the runs from lo, for `_score_rows`, which
-# scores at most the kernel path's runs, about _BLOCK at a time so that its
-# memory stays bounded. None sends the caller to the kernel path.
-_BLOCK = 1 << 18
+# scores the picked runs about _BLOCK at a time so that its memory stays
+# bounded. None sends the caller to `_score_rows` over every run. At 2^16
+# runs a kernel temporary is 512 KB: sensitive over 2M runs takes 28 ms,
+# against 38 ms at 2^18 (in-process medians, shared 2-core Xeon).
+_BLOCK = 1 << 16
 
 
 def _score_rows(engine, P, ties, margins, best, tol):
@@ -334,16 +337,15 @@ def _interval_approx_worst(engine, P, n, m, eps, p, ties):
 # these differences (a few ulp of values at most 2), so every run whose
 # kernel margin is the worst one starts at a lo that the row scorer picks.
 _TOL = 1e-12
-# The one deferral: the per-level arrays cost about 140 bytes and 0.3 us per
-# (level, lo) entry, the kernel path about 80 bytes and 0.12 us per range,
-# and a tiny p makes floor(1/p) levels. (Fresh process, m = 2000, eps = 0.1,
-# shared 2-core Xeon: n = 2000, p = 1/500, 1.0M entries, 0.29 s and 178 MB
-# peak, the kernel path 0.24 s and 192 MB; n = 5000, p = 1/600, 3.0M
-# entries, 0.94 s and 463 MB.)
-# So the fast path defers once the entries pass a quarter of the range
-# count, short of where the kernel path turns faster, unless they stay
-# within _LEVEL_CAP (about 150 MB).
+# The one deferral, to the row scorer over every run: the per-level arrays
+# take about 150 bytes per (level, lo) entry, the row scorer about 30 MB in
+# all, and the two break even at about 2.5 ranges per entry at n = 500, 5.5 at
+# n = 2000 and 8 at n = 5000 (in-process medians, m = 2000, eps = 0.1,
+# shared 2-core Xeon; n = 5000, p = 1/300: 0.26 s and 272 MB peak against
+# 0.29 s and 66 MB). So the fast path defers past an eighth of the range
+# count or _LEVEL_CAP, about 150 MB, but not within _LEVEL_FLOOR (10 MB).
 _LEVEL_CAP = 1 << 20
+_LEVEL_FLOOR = 1 << 16
 
 
 def _argmin_tables(V, depth):
@@ -374,7 +376,7 @@ def _interval_relative_style(engine, P, n, m, ties, margins, ladder):
     thresholds, env_eps, cap_eps, cap_base = ladder
     cum = engine._cum
     k = cum.shape[0] - 1
-    if thresholds.shape[0] * (k + 1) > max(_LEVEL_CAP, len(engine) // 4):
+    if thresholds.shape[0] * (k + 1) > max(_LEVEL_FLOOR, min(_LEVEL_CAP, len(engine) // 8)):
         return None
 
     # cap level j: E[j-1, lo] ends the longest run from lo within its count
@@ -433,7 +435,7 @@ class Property:
     the kernel's arguments, with the per-group sample prefix sums P in
     place of the counts; p is None for the properties that do not take it.
     It returns the worst margin and the tied range ids (None unless ties),
-    or None to defer to the kernel."""
+    or None to have every run scored."""
 
     name: str
     aliases: tuple[str, ...]
@@ -492,13 +494,19 @@ def _worst_margin(
     ties: bool,
 ) -> tuple[float, np.ndarray | None]:
     """The worst margin of N over every range of the engine and, if ties is
-    set, the ascending ids of the ranges attaining it. Arguments are taken
-    as already checked."""
-    if prop.interval_worst is not None and isinstance(engine, _IntervalRangeSet):
+    set, the ascending ids of the ranges attaining it (on intervals the empty
+    range alone for a tie it is in). Arguments are taken as already checked."""
+    if isinstance(engine, _IntervalRangeSet):
         P = engine.sample_prefix(N.multiplicities())
-        found = prop.interval_worst(engine, P, engine.n, N.m, eps, p, ties)
-        if found is not None:
-            return found
+        if prop.interval_worst is not None:
+            found = prop.interval_worst(engine, P, engine.n, N.m, eps, p, ties)
+            if found is not None:
+                return found
+        # every run: no lo has a lower bound on its margins
+        return _score_rows(
+            engine, P, ties, lambda r, s: prop.margins(r, s, engine.n, N.m, eps, p),
+            np.full(P.shape[0] - 1, -math.inf), 0.0,
+        )
     margins = prop.margins(*_deviations(engine, N), engine.n, N.m, eps, p)
     worst = float(np.min(margins))
     return worst, (np.nonzero(margins == worst)[0] if ties else None)

@@ -290,6 +290,18 @@ def net_margins(r_cnt, s_cnt, n, m, eps) -> np.ndarray:
     )
 
 
+def sensitive_margins(r_cnt, s_cnt, n, m, eps) -> np.ndarray:
+    """Per-range sensitive margins: the allowance (eps/2)(sqrt(r) + eps)
+    less the deviation |r - s|, in the package kernel's float expressions."""
+    return np.array(
+        [
+            (eps / 2.0) * (math.sqrt(rc / n) + eps) * (1.0 + _TOL) - abs(rc * m - sc * n) / (n * m)
+            for rc, sc in _rows(r_cnt, s_cnt)
+        ],
+        dtype=np.float64,
+    )
+
+
 def relative_margins(r_cnt, s_cnt, n, m, eps, p) -> np.ndarray:
     """Per-range relative (p, eps) margins: the envelope where r_cnt >= pn,
     the cap (1 + eps) p where r_cnt <= pn, the tighter of the two where both

@@ -12,7 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import random_coords, run_fresh
 from vcsample.errors import BudgetExceededError, ParameterError
-from vcsample.ranges import EnumerationBudget, GroundSet, family, induced_ranges
+from vcsample.ranges import (
+    EnumerationBudget,
+    GroundSet,
+    _IntervalRangeSet,
+    family,
+    induced_ranges,
+)
 from vcsample.sampling import Sample, draw_sample
 from vcsample.verify import (
     PROPERTIES,
@@ -22,6 +28,7 @@ from vcsample.verify import (
     _relative_kernel,
     _relative_sensitive_margins,
     _report,
+    _sensitive_margins,
     _worst_margin,
     check_sensitive_implies_net_approx,
     check_sensitive_implies_relative,
@@ -218,6 +225,26 @@ def test_relative_sensitive_levels_against_reference(p):
             got = _net_margins(r_cnt, s_cnt, n, m, eps, p)
             want = oracles.net_margins(r_cnt, s_cnt, n, m, eps)
             assert np.array_equal(got, want), (n, m, eps)
+
+
+def test_count_table_kernels_match_closed_forms():
+    # the sensitive allowance and the binding relative-sensitive levels are
+    # found once per count 0..n and gathered by r_cnt; shuffled counts hold
+    # 0, n and every multiple of p n = i, each next to random ones
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 7, 30, 61, 200):
+        for i in sorted({1, 2, n // 3, n - 1, n} - {0}):
+            m = int(rng.integers(1, 3 * n + 2))
+            eps = float(rng.choice([0.05, 0.3, 0.9]))
+            r_cnt = rng.permutation(
+                np.concatenate([np.arange(0, n + 1, i), [0, n], rng.integers(0, n + 1, 40)])
+            )
+            s_cnt = rng.integers(0, m + 1, r_cnt.shape[0])
+            got = _sensitive_margins(r_cnt, s_cnt, n, m, eps, None)
+            assert np.array_equal(got, oracles.sensitive_margins(r_cnt, s_cnt, n, m, eps))
+            got = _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, i / n)
+            want = oracles.relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, i / n)
+            assert np.array_equal(got, want), (n, i, m, eps)
 
 
 # ------------------------------------------------------------ N = X passes
@@ -492,16 +519,21 @@ def test_interval_fast_path_matches_kernel(case):
     rs = induced_ranges(family("intervals"), X)
     N = _sample(indices, len(xs))
     P = rs.sample_prefix(N.multiplicities())
-    for prop in ("eps_net", "eps_approx", "relative", "relative_sensitive"):
+    for prop in PROPERTIES:
         fast = verify_property(prop, X, N, eps, p, "intervals", ranges=rs)
         kernel, worst, tied = _kernel_report(prop, rs, N, eps, p)
         assert json.dumps(fast.to_json_dict()) == json.dumps(kernel.to_json_dict())
-        # the hook itself: same worst margin and exactly the kernel's ties
-        # (the empty range alone stands for a tie it is in)
-        found = PROPERTIES[prop].interval_worst(rs, P, len(xs), N.m, eps, p, True)
-        assert found is not None and found[0] == worst
+        # same worst margin and exactly the kernel's ties, from the hook
+        # itself and from the row scorer behind it (sensitive scores every
+        # run); the empty range alone stands for a tie it is in
         want = tied[:1] if tied[0] == 0 else tied
-        assert np.array_equal(found[1], want)
+        hook = PROPERTIES[prop].interval_worst
+        if hook is not None:
+            found = hook(rs, P, len(xs), N.m, eps, p, True)
+            assert found is not None and found[0] == worst
+            assert np.array_equal(found[1], want)
+        found = _worst_margin(PROPERTIES[prop], rs, N, eps, p, True)
+        assert found[0] == worst and np.array_equal(found[1], want)
         assert _worst_margin(PROPERTIES[prop], rs, N, eps, p, False) == (worst, None)
 
 
@@ -549,6 +581,10 @@ _LARGE_TIES = [
     # draw and ties at the worst cap
     ("relative", [150], 0.5, 11_772),
     ("relative_sensitive", [150], 0.5, 11_772),
+    # a draw on every even point: each singleton deviates by 1/300, beyond
+    # its allowance, and each longer run by at most that, against a larger
+    # allowance; the 300 tied runs start at 300 lo values
+    ("sensitive", list(range(0, 300, 2)), 0.05, 300),
 ]
 
 
@@ -566,23 +602,33 @@ def test_interval_relative_large_tie_matches_kernel(monkeypatch):
             worst = float(np.min(margins))
             tied = np.nonzero(margins == worst)[0]
             assert tied.size == size
-            found = prop.interval_worst(
-                rs, rs.sample_prefix(N.multiplicities()), 300, N.m, eps, 0.51, True
-            )
-            assert found is not None and found[0] == worst
-            assert np.array_equal(found[1], tied)
+            if prop.interval_worst is not None:
+                found = prop.interval_worst(
+                    rs, rs.sample_prefix(N.multiplicities()), 300, N.m, eps, 0.51, True
+                )
+                assert found is not None and found[0] == worst
+                assert np.array_equal(found[1], tied)
+            found = _worst_margin(prop, rs, N, eps, 0.51, True)
+            assert found[0] == worst and np.array_equal(found[1], tied)
             assert _worst_margin(prop, rs, N, eps, 0.51, False) == (worst, None)
 
 
 @pytest.mark.parametrize(
     "k, p, level_cap, defers",
     [
-        # about 10**5 levels of floor(1/p) + 1 over 11 lo entries pass 2**20
+        # below 2**16 entries the guard never defers: about 10**5 levels of
+        # floor(1/p) + 1 over 11 lo entries pass it, while 5 x 41 entries
+        # stay within it though they pass both a cap of 0 and an eighth of
+        # the 821 ranges (102)
         (10, 1e-5, None, True),
-        # with no fixed allowance, a quarter of the 821 ranges (205) bounds
-        # the levels x (k + 1) entries: 5 x 41 stays, 6 x 41 defers
         (40, 0.25, 0, False),
-        (40, 0.2, 0, True),
+        # 1100 values, 605,551 ranges: 68 x 1101 entries (74,868) stay within
+        # an eighth of the ranges (75,693), 69 x 1101 (75,969) pass it
+        (1100, 1 / 67.5, None, False),
+        (1100, 1 / 68.5, None, True),
+        # a cap below an eighth of the ranges binds instead
+        (1100, 1 / 67.5, 74_868, False),
+        (1100, 1 / 67.5, 74_867, True),
     ],
 )
 def test_interval_relative_level_guard_defers_to_kernel(k, p, level_cap, defers, monkeypatch):
@@ -598,6 +644,28 @@ def test_interval_relative_level_guard_defers_to_kernel(k, p, level_cap, defers,
     fast = verify_property("relative_sensitive", X, N, 0.3, p, "intervals", ranges=rs)
     assert fast.to_json_dict() == kernel.to_json_dict()
     assert _worst_margin(prop, rs, N, 0.3, p, False) == (worst, None)
+
+
+def test_interval_verification_builds_no_per_range_array(monkeypatch):
+    """Every property, and a relative-style call the level guard defers,
+    scores intervals from prefix sums: neither `counts` nor `sample_counts`
+    is touched."""
+
+    def refuse(self, multiplicities):
+        raise AssertionError("per-range sample counts built")
+
+    monkeypatch.setattr(_IntervalRangeSet, "sample_counts", refuse)
+    X = GroundSet(np.arange(40.0))
+    rs = induced_ranges(family("intervals"), X)
+    N = _sample(list(range(0, 40, 3)) * 2, 40)
+    prop = PROPERTIES["relative_sensitive"]
+    P = rs.sample_prefix(N.multiplicities())
+    # 10**4 levels over 41 lo entries pass the guard's floor
+    assert prop.interval_worst(rs, P, 40, N.m, 0.3, 1e-4, True) is None
+    for name, p in [*((name, 0.2) for name in PROPERTIES), ("relative_sensitive", 1e-4)]:
+        rep = verify_property(name, X, N, 0.3, p, "intervals", ranges=rs)
+        assert rep.ranges_checked == 821
+    assert "counts" not in rs.__dict__
 
 
 _INTERVAL_MEMORY = """
@@ -616,6 +684,16 @@ unit = 2**20 if sys.platform == "darwin" else 2**10
 def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
+# every run of 2,001,001 scored, from the peak after enumeration; first, so
+# that no earlier peak hides its growth
+X = GroundSet(np.random.default_rng(6).random(2000))
+rs = induced_ranges(family("intervals"), X)
+before = peak_mb()
+rep = verify_sensitive(X, draw_sample(X, 2000, 6), 0.3, rs.family, ranges=rs)
+assert rep.ranges_checked == 2000 * 2001 // 2 + 1
+scored_growth = peak_mb() - before
+del X, rs, rep
+
 # the worst tie of relative_sensitive on 2000 values: 1.5M of the 2.0M runs
 # scored, 520,310 of them tied
 rs = induced_ranges(family("intervals"), GroundSet(np.arange(2000.0)))
@@ -632,32 +710,26 @@ N = draw_sample(X, 400, 5)
 M = draw_sample(X, 2000, 5)
 for rep in (verify_eps_net(X, N, 0.05, rs.family, ranges=rs),
             verify_eps_approx(X, N, 0.1, rs.family, ranges=rs),
+            verify_sensitive(X, M, 0.3, rs.family, ranges=rs),
             verify_relative(X, M, 0.1, 0.3, rs.family, ranges=rs),
-            verify_relative_sensitive(X, M, 0.1, 0.3, rs.family, ranges=rs)):
+            verify_relative_sensitive(X, M, 0.1, 0.3, rs.family, ranges=rs),
+            # 1001 x 5001 per-level entries: the level guard defers
+            verify_relative_sensitive(X, M, 0.001, 0.3, rs.family, ranges=rs)):
     assert rep.ranges_checked == 5000 * 5001 // 2 + 1
-fast_peak, counts_cached = peak_mb(), "counts" in rs.__dict__
-del X, rs, N, M
-
-# the margin kernel path on 2,001,001 ranges, from the peak after enumeration
-X = GroundSet(np.random.default_rng(6).random(2000))
-rs = induced_ranges(family("intervals"), X)
-before = peak_mb()
-rep = verify_sensitive(X, draw_sample(X, 2000, 6), 0.3, rs.family, ranges=rs)
-assert rep.ranges_checked == 2000 * 2001 // 2 + 1
-print(tie_growth, fast_peak, counts_cached, peak_mb() - before)
+print(tie_growth, peak_mb(), "counts" in rs.__dict__, scored_growth)
 """
 
 
 def test_interval_memory_stays_bounded():
-    """In a fresh interpreter: first the worst tie of relative_sensitive on
-    2000 values, whose 1.5M scored runs go through the kernel in blocks, so
-    the peak grows by less than 64 MB. Then intervals at the default budget,
-    n = 5000 (12.5M ranges), verified for eps_net, eps_approx, relative and
-    relative_sensitive: the fast paths read only per-value arrays, so no
-    per-range array is built and peak RSS stays far below the 100 MB that a
-    single int64 per range would take. Then sensitive at n = m = 2000 (2M
-    ranges) on the kernel path, whose elementwise margins keep the peak
-    within 200 MB of the enumeration's."""
+    """In a fresh interpreter: first sensitive at n = m = 2000 (2M ranges),
+    every run scored in blocks, within 40 MB of the enumeration's peak. Then
+    the worst tie of relative_sensitive on 2000 values, whose 1.5M scored
+    runs go through the kernel in blocks, so the peak grows by less than
+    64 MB. Then intervals at the default budget, n = 5000 (12.5M ranges),
+    verified for every property and for a relative_sensitive p the level
+    guard defers: the row scorer reads only per-value arrays and scores
+    about _BLOCK runs at a time, so no per-range array is built and peak RSS
+    stays far below the 100 MB that a single int64 per range would take."""
     pytest.importorskip("resource")
     # a process keeps, across exec, the peak RSS of the memory image it
     # replaced (this test runner's), so the measured child is started from a
@@ -668,8 +740,8 @@ def test_interval_memory_stays_bounded():
     )
     proc = run_fresh([sys.executable, "-c", hop])
     assert proc.returncode == 0, proc.stderr
-    tie_growth_mb, peak_mb, counts_cached, kernel_growth_mb = proc.stdout.split()
+    tie_growth_mb, peak_mb, counts_cached, scored_growth_mb = proc.stdout.split()
     assert float(tie_growth_mb) < 64.0
     assert float(peak_mb) < 120.0
     assert counts_cached == "False"
-    assert float(kernel_growth_mb) < 200.0
+    assert float(scored_growth_mb) < 40.0
