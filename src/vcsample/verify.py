@@ -10,12 +10,13 @@ accumulation), and reports the tightest constraint as a signed margin.
 
 On intervals no per-range array is built: one blocked row scorer runs the
 margin kernel, about _BLOCK runs at a time, over the runs from chosen lo
-values, counting from per-value prefix sums. Every property but sensitive
-has a prefix-sum fast path (`Property.interval_worst`) that finds per lo
-the least margin of its runs (within a tolerance for the relative-style
-two), so only the lo values that can hold the worst margin are scored;
-sensitive, and a relative-style p so small that the per-level arrays would
-outgrow the row scorer, score every run. Counts and float expressions are
+values, counting from per-value prefix sums. Every property has a
+prefix-sum fast path (`Property.interval_worst`) that bounds per lo the
+margins of its runs from below (exactly the least one for eps_net and
+eps_approx, within a tolerance for the relative-style two, over bands of
+counts for sensitive), so only the lo values that can hold the worst margin
+are scored. Only a relative-style p so small that the per-level arrays would
+outgrow the row scorer scores every run. Counts and float expressions are
 the kernel's, so the reports are bit-identical to the kernel path's. The
 Monte-Carlo harness asks only for the worst margin and skips the tie-break.
 
@@ -185,11 +186,15 @@ def _approx_margins(r_cnt, s_cnt, n, m, eps, p):
     return eps * _UP - dev
 
 
+def _sensitive_allowance(n, eps):
+    """The allowance per count 0..n, the only values r_cnt takes; it never
+    falls as the count grows."""
+    return (eps / 2.0) * (np.sqrt(np.arange(n + 1) / n) + eps) * _UP
+
+
 def _sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
     dev = np.abs(r_cnt * m - s_cnt * n) / (n * m)
-    # r_cnt only takes the values 0..n: the allowance per count, gathered
-    allowance = (eps / 2.0) * (np.sqrt(np.arange(n + 1) / n) + eps) * _UP
-    return allowance[r_cnt] - dev
+    return _sensitive_allowance(n, eps)[r_cnt] - dev
 
 
 # The two clauses of the relative-style guarantees, on weights r = r_cnt/n
@@ -250,24 +255,26 @@ def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
 
 # Interval fast paths, from the per-group prefix sums `cum` (ground) and P
 # (sample), where run (lo, hi) holds cum[hi+1] - cum[lo] points: each finds
-# best[lo], the least margin of the runs from lo, for `_score_rows`, which
-# scores the picked runs about _BLOCK at a time so that its memory stays
-# bounded. None sends the caller to `_score_rows` over every run. At 2^16
-# runs a kernel temporary is 512 KB: sensitive over 2M runs takes 28 ms,
+# bound[lo], a lower bound on the margins of the runs from lo, and an upper
+# bound on the worst margin for `_score_rows`, which scores the picked runs
+# about _BLOCK at a time so that its memory stays bounded. None sends the
+# caller to `_score_rows` over every run. At 2^16 runs a kernel temporary is
+# 512 KB: the sensitive kernel over all 2M runs of 2000 values took 28 ms,
 # against 38 ms at 2^18 (in-process medians, shared 2-core Xeon).
 _BLOCK = 1 << 16
 
 
-def _score_rows(engine, P, ties, margins, best, tol):
-    """The worst margin over the empty range and the runs from each lo whose
-    best[lo] (their least margin, up to tol) is within tol of the least one,
-    and with ties set the ascending ids of the ranges attaining it, the empty
-    range alone for a tie it is in. margins(r_cnt, s_cnt) is the kernel."""
+def _score_rows(engine, P, ties, margins, bound, threshold):
+    """The worst margin over the empty range and the runs from each lo with
+    bound[lo] <= threshold, and with ties set the ascending ids of the
+    ranges attaining it, the empty range alone for a tie it is in.
+    bound[lo] must not exceed any margin of the runs from lo, nor threshold
+    fall below the worst margin; margins(r_cnt, s_cnt) is the kernel."""
     cum, starts = engine._cum, engine._starts
     empty = np.zeros(1, dtype=np.int64)
     worst, tied = float(margins(empty, empty)[0]), None  # None: the empty range ties
     # a run no worse than the empty range can only tie it, which it wins
-    pick = np.flatnonzero((best <= best.min() + tol) & (best < worst + tol))
+    pick = np.flatnonzero((bound <= threshold) & (bound < worst))
     # a block takes the rows that start in one window of _BLOCK ids; the
     # runs from one lo have consecutive ids, so the ids come out ascending
     window = starts[pick] // _BLOCK
@@ -307,7 +314,7 @@ def _interval_net_worst(engine, P, n, m, eps, p, ties):
     best = np.full(k, math.inf)
     best[lo] = (hits - 1) / m
     return _score_rows(
-        engine, P, True, lambda r, s: _net_margins(r, s, n, m, eps, p), best, 0.0
+        engine, P, True, lambda r, s: _net_margins(r, s, n, m, eps, p), best, best.min()
     )
 
 
@@ -322,7 +329,7 @@ def _interval_approx_worst(engine, P, n, m, eps, p, ties):
     # and every lo holding a run that rounds to the worst margin is picked
     best = eps * _UP - numer / (n * m)
     return _score_rows(
-        engine, P, ties, lambda r, s: _approx_margins(r, s, n, m, eps, p), best, 0.0
+        engine, P, ties, lambda r, s: _approx_margins(r, s, n, m, eps, p), best, best.min()
     )
 
 
@@ -334,8 +341,8 @@ def _interval_approx_worst(engine, P, n, m, eps, p, ties):
 # (1 + e) r - s = B[end] - B[lo] with A = P/m - (1 - e) cum/n and
 # B = (1 + e) cum/n - P/m, so range-argmin tables over each envelope band's
 # ends give their least values. _TOL exceeds twice the rounding error of
-# these differences (a few ulp of values at most 2), so every run whose
-# kernel margin is the worst one starts at a lo that the row scorer picks.
+# these differences (a few ulp of values at most 2), so best - _TOL bounds
+# each lo's margins from below and best.min() + _TOL the worst from above.
 _TOL = 1e-12
 # The one deferral, to the row scorer over every run: the per-level arrays
 # take about 150 bytes per (level, lo) entry, the row scorer about 30 MB in
@@ -403,7 +410,7 @@ def _interval_relative_style(engine, P, n, m, ties, margins, ladder):
     side = np.full((V.shape[0], k), math.inf)
     side[row, at] = V[row, _argmin(V, tables, row, a, b)] - V[row, at]
     best = np.minimum(best, side.min(axis=0))
-    return _score_rows(engine, P, ties, margins, best, _TOL)
+    return _score_rows(engine, P, ties, margins, best - _TOL, best.min() + _TOL)
 
 
 def _interval_relative_worst(engine, P, n, m, eps, p, ties):
@@ -418,6 +425,66 @@ def _interval_relative_sensitive_worst(engine, P, n, m, eps, p, ties):
         engine, P, n, m, ties, lambda r, s: _relative_sensitive_margins(r, s, n, m, eps, p),
         _ladder(n, eps, p, True),
     )
+
+
+# The sensitive fast path bounds each lo's margins instead of finding them.
+# A run's margin is allowance[r_cnt] - |D[end] - D[lo]| / (n m), D as in the
+# eps_approx path, and the allowance never falls as r_cnt grows. So over the
+# ends of one band of counts from lo, the allowance at the band's least count
+# less the deviation toward the band's largest or least D is at most every
+# margin: the kernel's integers and monotone float expressions, no tolerance.
+# The _BANDS bands are uniform in sqrt(r_cnt), as the allowance is, so each
+# leaves about the same allowance slack.
+_BANDS = 32
+
+
+def _min_tables(V, depth):
+    """tables[t, row, x]: the least entry of V[row] in [x, x + 2**t), for
+    x + 2**t <= V.shape[1]."""
+    tables = np.empty((depth + 1, *V.shape), dtype=V.dtype)
+    tables[0] = V
+    for t in range(1, depth + 1):
+        h = 1 << (t - 1)
+        tables[t] = tables[t - 1]
+        np.minimum(tables[t - 1, :, :-h], tables[t - 1, :, h:], out=tables[t, :, :-h])
+    return tables
+
+
+def _interval_sensitive_worst(engine, P, n, m, eps, p, ties):
+    cum = engine._cum
+    k = cum.shape[0] - 1
+    D = cum * m - P * n
+    allowance = _sensitive_allowance(n, eps)
+    # band j from lo: the ends G[j, lo] <= end < G[j + 1, lo], whose runs
+    # count from edges[j] (one at least) up to the next edge; first[c] is
+    # the first end whose run from group 0 counts at least c, k + 1 past n
+    edges = np.ceil(n * (np.arange(_BANDS) / _BANDS) ** 2).clip(min=1)
+    edges = np.append(edges, n + 1).astype(np.int64)
+    first = np.searchsorted(cum, np.arange(n + 2))
+    # the least and the largest D over a band: two overlapping power-of-two
+    # windows of the min tables of D and -D (row 1)
+    tables = _min_tables(np.stack([D, -D]), k.bit_length() - 1).reshape(-1)
+    bound = np.full(k, math.inf)
+    # about _BLOCK (band, lo) entries at a time
+    step = max(1, _BLOCK // k)
+    for j in range(0, _BANDS, step):
+        G = first[np.minimum(cum[:-1] + edges[j : j + step + 1, None], n + 1)]
+        a, b = G[:-1], G[1:]
+        width = np.maximum(b - a, 1)
+        t = np.frexp(width)[1].astype(np.int64) - 1
+        # flat positions of the two windows in row 0 of level t
+        x = np.minimum(a, k) + t * (2 * (k + 1))
+        y = x + width - (1 << t)
+        low = np.minimum(tables[x], tables[y])
+        high = -np.minimum(tables[x + (k + 1)], tables[y + (k + 1)])
+        numer = np.maximum(high - D[:-1], D[:-1] - low)
+        band = allowance[cum[np.minimum(a, k)] - cum[:-1]] - numer / (n * m)
+        bound = np.minimum(bound, np.where(a < b, band, math.inf).min(axis=0))
+    # the row of the least bound caps the worst margin
+    margins = lambda r, s: _sensitive_margins(r, s, n, m, eps, p)
+    lo = int(bound.argmin())
+    worst = float(margins(cum[lo + 1 :] - cum[lo], P[lo + 1 :] - P[lo]).min())
+    return _score_rows(engine, P, ties, margins, bound, worst)
 
 
 def _size_relative(d, eps, p, delta, C):
@@ -435,7 +502,8 @@ class Property:
     the kernel's arguments, with the per-group sample prefix sums P in
     place of the counts; p is None for the properties that do not take it.
     It returns the worst margin and the tied range ids (None unless ties),
-    or None to have every run scored."""
+    or None to have every run scored, as the relative-style level guard
+    does at a small p; every property here has one."""
 
     name: str
     aliases: tuple[str, ...]
@@ -463,6 +531,7 @@ PROPERTIES: dict[str, Property] = {
         Property(
             "sensitive", (), False,
             lambda d, eps, p, delta, C: size_sensitive(eps, d, delta, C), _sensitive_margins,
+            _interval_sensitive_worst,
         ),
         Property(
             "relative", (), True, _size_relative, _relative_kernel, _interval_relative_worst,
@@ -505,7 +574,7 @@ def _worst_margin(
         # every run: no lo has a lower bound on its margins
         return _score_rows(
             engine, P, ties, lambda r, s: prop.margins(r, s, engine.n, N.m, eps, p),
-            np.full(P.shape[0] - 1, -math.inf), 0.0,
+            np.full(P.shape[0] - 1, -math.inf), math.inf,
         )
     margins = prop.margins(*_deviations(engine, N), engine.n, N.m, eps, p)
     worst = float(np.min(margins))
@@ -596,6 +665,13 @@ def verify_relative_sensitive(
     )
 
 
+def _sensitive_premise(engine: InducedRangeSet, N: Sample, eps: float) -> bool:
+    """Whether N is a sensitive eps-approximation, found without the
+    per-range counts that the conclusions need (so a failing premise, where
+    an implication holds vacuously, builds none)."""
+    return _worst_margin(PROPERTIES["sensitive"], engine, N, eps, None, ties=False)[0] >= 0.0
+
+
 def check_sensitive_implies_net_approx(
     X: GroundSet,
     N: Sample,
@@ -615,9 +691,9 @@ def check_sensitive_implies_net_approx(
     """
     eps = _check_unit("eps", eps)
     engine = _engine(X, N, fam, budget, ranges)
-    counts = (*_deviations(engine, N), len(X), N.m)
-    if not np.min(_sensitive_margins(*counts, eps, None)) >= 0.0:
+    if not _sensitive_premise(engine, N, eps):
         return True
+    counts = (*_deviations(engine, N), len(X), N.m)
     net = _net_margins(*counts, eps * eps, None)
     approx = _approx_margins(*counts, eps * (1.0 + eps) / 2.0, None)
     return bool(np.min(net) >= 0.0 and np.min(approx) >= 0.0)
@@ -644,11 +720,9 @@ def check_sensitive_implies_relative(
     eps = _check_unit("eps", eps)
     engine = _engine(X, N, fam, budget, ranges)
     eps_prime = eps * math.sqrt(p)
-    r_cnt, s_cnt = _deviations(engine, N)
-    n, m = len(X), N.m
-    if not np.min(_sensitive_margins(r_cnt, s_cnt, n, m, eps_prime, None)) >= 0.0:
+    if not _sensitive_premise(engine, N, eps_prime):
         return True
-    clause_i, clause_ii = _relative_clauses(r_cnt, s_cnt, n, m, eps, p)
+    clause_i, clause_ii = _relative_clauses(*_deviations(engine, N), len(X), N.m, eps, p)
     clause_i_ok = bool(np.min(clause_i) >= 0.0)
     clause_ii_ok = bool(np.min(clause_ii) >= 0.0)
     log.info(

@@ -1,5 +1,6 @@
 """Exhaustive verifiers: worked examples, tie-breaks, oracle agreement."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -11,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import random_coords, run_fresh
+import vcsample.verify as verify_module
 from vcsample.errors import BudgetExceededError, ParameterError
+from vcsample.harness import SourceSpec, generate_ground_set
 from vcsample.ranges import (
     EnumerationBudget,
     GroundSet,
@@ -129,6 +132,21 @@ def test_implication_check_vacuous_on_sensitive_failure():
     N = _sample([0] * 10, 10)
     assert not verify_sensitive(X, N, 0.2, "intervals").passed
     assert check_sensitive_implies_net_approx(X, N, 0.2, "intervals") is True
+
+
+def test_implication_checks_skip_counts_on_failing_premise(monkeypatch):
+    """A failing sensitive premise is found by the fast path, and the vacuous
+    True comes back before any per-range count is built."""
+
+    def refuse(self, multiplicities):
+        raise AssertionError("per-range sample counts built")
+
+    monkeypatch.setattr(_IntervalRangeSet, "sample_counts", refuse)
+    X = GroundSet(np.arange(0.0, 10.0))
+    N = _sample([0] * 10, 10)
+    assert check_sensitive_implies_net_approx(X, N, 0.2, "intervals") is True
+    # eps * sqrt(p) = 0.2 again
+    assert check_sensitive_implies_relative(X, N, 0.25, 0.4, "intervals") is True
 
 
 # --------------------------------------------------------------- tie-break
@@ -512,6 +530,15 @@ def _interval_cases(draw):
 # the worst runs start at three lo values: {0, 1, 2}, {1, 2, 3} and {2, 3, 4}
 # each hold 3 of the 7 draws and tie at the lower envelope side
 @example((list(range(6)), [0, 0, 1, 3, 3, 4, 5], 5 / 6, 0.5))
+# 32**2 values put the sensitive bands' least counts at the squares; the
+# worst sensitive run, {100, ..., 103}, counts exactly 4, the least of a band
+@example((list(range(1024)), [100, 101, 102, 103], 0.95, 0.02))
+# every run deviates little against its allowance: the empty range is the
+# worst sensitive range, and no run is scored
+@example((list(range(10)), list(range(10)) * 3 + [0], 0.3, 0.5))
+# a draw on every even point: the 20 singletons, one per lo, tie at the
+# worst sensitive margin
+@example((list(range(20)), list(range(0, 20, 2)), 0.05, 0.5))
 @settings(max_examples=500)
 def test_interval_fast_path_matches_kernel(case):
     xs, indices, eps, p = case
@@ -524,17 +551,38 @@ def test_interval_fast_path_matches_kernel(case):
         kernel, worst, tied = _kernel_report(prop, rs, N, eps, p)
         assert json.dumps(fast.to_json_dict()) == json.dumps(kernel.to_json_dict())
         # same worst margin and exactly the kernel's ties, from the hook
-        # itself and from the row scorer behind it (sensitive scores every
-        # run); the empty range alone stands for a tie it is in
+        # itself and from `_worst_margin` around it; the empty range alone
+        # stands for a tie it is in
         want = tied[:1] if tied[0] == 0 else tied
-        hook = PROPERTIES[prop].interval_worst
-        if hook is not None:
-            found = hook(rs, P, len(xs), N.m, eps, p, True)
-            assert found is not None and found[0] == worst
-            assert np.array_equal(found[1], want)
+        found = PROPERTIES[prop].interval_worst(rs, P, len(xs), N.m, eps, p, True)
+        assert found is not None and found[0] == worst
+        assert np.array_equal(found[1], want)
         found = _worst_margin(PROPERTIES[prop], rs, N, eps, p, True)
         assert found[0] == worst and np.array_equal(found[1], want)
         assert _worst_margin(PROPERTIES[prop], rs, N, eps, p, False) == (worst, None)
+
+
+@given(_interval_cases())
+@settings(max_examples=300)
+def test_interval_sensitive_bound_is_a_lower_bound(case):
+    """The sensitive hook's bound[lo] never exceeds the kernel margin of a run
+    from lo, and its threshold never falls below the worst margin."""
+    xs, indices, eps, _ = case
+    X = GroundSet(np.asarray(xs))
+    rs = induced_ranges(family("intervals"), X)
+    N = _sample(indices, len(xs))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("vcsample.verify._score_rows", lambda *args: seen.append(args[4:]))
+        PROPERTIES["sensitive"].interval_worst(
+            rs, rs.sample_prefix(N.multiplicities()), len(xs), N.m, eps, None, True
+        )
+    (bound, threshold), = seen
+    margins = _sensitive_margins(*_deviations(rs, N), len(xs), N.m, eps, None)
+    # the runs from lo are the rows _starts[lo] up to _starts[lo + 1]
+    least = np.minimum.reduceat(margins, rs._starts[:-1])
+    assert np.all(bound <= least)
+    assert threshold >= margins.min()
 
 
 def test_interval_row_id_matches_enumeration():
@@ -602,12 +650,11 @@ def test_interval_relative_large_tie_matches_kernel(monkeypatch):
             worst = float(np.min(margins))
             tied = np.nonzero(margins == worst)[0]
             assert tied.size == size
-            if prop.interval_worst is not None:
-                found = prop.interval_worst(
-                    rs, rs.sample_prefix(N.multiplicities()), 300, N.m, eps, 0.51, True
-                )
-                assert found is not None and found[0] == worst
-                assert np.array_equal(found[1], tied)
+            found = prop.interval_worst(
+                rs, rs.sample_prefix(N.multiplicities()), 300, N.m, eps, 0.51, True
+            )
+            assert found is not None and found[0] == worst
+            assert np.array_equal(found[1], tied)
             found = _worst_margin(prop, rs, N, eps, 0.51, True)
             assert found[0] == worst and np.array_equal(found[1], tied)
             assert _worst_margin(prop, rs, N, eps, 0.51, False) == (worst, None)
@@ -644,6 +691,30 @@ def test_interval_relative_level_guard_defers_to_kernel(k, p, level_cap, defers,
     fast = verify_property("relative_sensitive", X, N, 0.3, p, "intervals", ranges=rs)
     assert fast.to_json_dict() == kernel.to_json_dict()
     assert _worst_margin(prop, rs, N, 0.3, p, False) == (worst, None)
+
+
+def test_interval_sensitive_scores_few_runs(monkeypatch):
+    """At 20,000 values (200,010,001 runs) the sensitive bound leaves fewer
+    than 1% of the runs to the kernel, and the worst margin and its ties are
+    those of scoring every run."""
+    X = generate_ground_set(SourceSpec("uniform", n=20_000), 1, 1)
+    rs = induced_ranges(family("intervals"), X, EnumerationBudget(intervals=20_000))
+    assert len(rs) == 200_010_001
+    N = draw_sample(X, 2000, 1)
+    kernel = verify_module._sensitive_margins
+    scored = []
+
+    def counting(r_cnt, s_cnt, *args):
+        scored.append(r_cnt.size)
+        return kernel(r_cnt, s_cnt, *args)
+
+    monkeypatch.setattr(verify_module, "_sensitive_margins", counting)
+    prop = PROPERTIES["sensitive"]
+    worst, tied = _worst_margin(prop, rs, N, 0.1, None, True)
+    assert 0 < sum(scored) < len(rs) // 100
+    every_run = dataclasses.replace(prop, interval_worst=None)
+    want, want_tied = _worst_margin(every_run, rs, N, 0.1, None, True)
+    assert worst == want and np.array_equal(tied, want_tied)
 
 
 def test_interval_verification_builds_no_per_range_array(monkeypatch):
@@ -685,14 +756,18 @@ def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 # every run of 2,001,001 scored, from the peak after enumeration; first, so
-# that no earlier peak hides its growth
+# that no earlier peak hides its growth: 201 x 2001 per-level entries pass
+# an eighth of the range count, so the level guard defers
 X = GroundSet(np.random.default_rng(6).random(2000))
 rs = induced_ranges(family("intervals"), X)
+M = draw_sample(X, 2000, 6)
+P = rs.sample_prefix(M.multiplicities())
+assert PROPERTIES["relative_sensitive"].interval_worst(rs, P, 2000, 2000, 0.3, 0.005, True) is None
 before = peak_mb()
-rep = verify_sensitive(X, draw_sample(X, 2000, 6), 0.3, rs.family, ranges=rs)
+rep = verify_relative_sensitive(X, M, 0.005, 0.3, rs.family, ranges=rs)
 assert rep.ranges_checked == 2000 * 2001 // 2 + 1
 scored_growth = peak_mb() - before
-del X, rs, rep
+del X, rs, M, P, rep
 
 # the worst tie of relative_sensitive on 2000 values: 1.5M of the 2.0M runs
 # scored, 520,310 of them tied
@@ -721,15 +796,16 @@ print(tie_growth, peak_mb(), "counts" in rs.__dict__, scored_growth)
 
 
 def test_interval_memory_stays_bounded():
-    """In a fresh interpreter: first sensitive at n = m = 2000 (2M ranges),
-    every run scored in blocks, within 40 MB of the enumeration's peak. Then
-    the worst tie of relative_sensitive on 2000 values, whose 1.5M scored
-    runs go through the kernel in blocks, so the peak grows by less than
-    64 MB. Then intervals at the default budget, n = 5000 (12.5M ranges),
-    verified for every property and for a relative_sensitive p the level
-    guard defers: the row scorer reads only per-value arrays and scores
-    about _BLOCK runs at a time, so no per-range array is built and peak RSS
-    stays far below the 100 MB that a single int64 per range would take."""
+    """In a fresh interpreter: first relative_sensitive at n = m = 2000 (2M
+    ranges) and a p the level guard defers, every run scored in blocks,
+    within 40 MB of the enumeration's peak. Then the worst tie of
+    relative_sensitive on 2000 values, whose 1.5M scored runs go through the
+    kernel in blocks, so the peak grows by less than 64 MB. Then intervals
+    at the default budget, n = 5000 (12.5M ranges), verified for every
+    property and for a relative_sensitive p the level guard defers: the row
+    scorer reads only per-value arrays and scores about _BLOCK runs at a
+    time, so no per-range array is built and peak RSS stays far below the
+    100 MB that a single int64 per range would take."""
     pytest.importorskip("resource")
     # a process keeps, across exec, the peak RSS of the memory image it
     # replaced (this test runner's), so the measured child is started from a
