@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -421,22 +422,53 @@ class _SubsetCollector:
     produce each subset once and need none).
 
     Candidates arrive only as batches: a boolean (k, n) row matrix and its k
-    witnesses. Rows are keyed by their packed bits, and the first witness of
-    each distinct subset is kept, in insertion order.
+    witnesses, a (k, w) float array or a list of k tuples. Rows are keyed by
+    their packed bits, and the first witness of each distinct subset is kept,
+    as a tuple of Python floats, in insertion order. A batch is deduplicated
+    in one vectorized pass first, so only the first row of each subset in the
+    batch reaches the dict, and only the rows the dict keeps become tuples.
     """
 
     def __init__(self):
         self._first: dict[bytes, tuple[float, ...]] = {}
 
     def add_batch(self, rows: np.ndarray, witnesses) -> None:
-        flat, width = np.packbits(rows, axis=1).tobytes(), (rows.shape[1] + 7) // 8
-        for start, witness in zip(range(0, len(flat), width), witnesses):
-            self._first.setdefault(flat[start : start + width], witness)
+        if not len(rows):
+            return
+        packed = np.packbits(rows, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        keys = keys[first].tolist()
+        new = np.array([k not in self._first for k in keys], dtype=bool)
+        wit = np.asarray(witnesses, dtype=np.float64).reshape(len(rows), -1)[first[new]]
+        self._first.update(zip(itertools.compress(keys, new), map(tuple, wit.tolist())))
 
     def range_set(self, fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
         packed = np.frombuffer(b"".join(self._first), dtype=np.uint8)
         packed = packed.reshape(len(self._first), -1)
         return _PackedRangeSet(fam, ground, packed, list(self._first.values()))
+
+
+# key entries (directions x points) per block of the halfplane sweep
+_HALFPLANE_KEYS = 2**14
+# centers per chunk of the disk sweep, rounded up to whole bisector lines
+_DISK_CENTERS = 2048
+
+
+def _stable_order(keys: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.argsort(keys, axis=1, kind="stable")` and the sorted keys.
+
+    Each row is sorted from the point order `ref`, where a sweep's keys are
+    nearly sorted already, which the stable sort does in about linear time.
+    A stable sort ranks tied keys by point index; rows whose ties come out
+    in another rank are sorted again from scratch.
+    """
+    order = ref[np.argsort(keys[:, ref], axis=1, kind="stable")]
+    ksort = np.take_along_axis(keys, order, axis=1)
+    redo = ((ksort[:, :-1] == ksort[:, 1:]) & (order[:, :-1] > order[:, 1:])).any(axis=1)
+    if redo.any():
+        order[redo] = np.argsort(keys[redo], axis=1, kind="stable")
+    return order, ksort
 
 
 def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
@@ -452,6 +484,14 @@ def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
     prefixes inside the window where the two sort orders differ, plus any
     newly valid cut positions, can be new, which bounds the total number of
     candidate insertions by the number of swaps, O(n^2).
+
+    Directions are swept in blocks of `_HALFPLANE_KEYS // n` (at least
+    one), so the block's key and order arrays stay near 128 KB each whatever
+    n is. Each block sorts all of its keys at once and takes every window
+    from the first and last column where a direction's order differs from
+    the one before it; the last order of a block carries into the next. The
+    candidates come out direction by direction, in the order a
+    one-direction-at-a-time sweep adds them.
     """
     coords = ground.coords
     xs, ys = coords[:, 0], coords[:, 1]
@@ -479,31 +519,33 @@ def _build_halfplanes(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
     c_empty = float(np.nextafter(np.min(1.0 * xs + 0.0 * ys), -np.inf))
     collector.add_batch(np.zeros((1, n), dtype=bool), [(1.0, 0.0, c_empty)])
 
+    block = max(1, _HALFPLANE_KEYS // n)
+    cols = np.arange(n + 1)
     prev_order: np.ndarray | None = None
     prev_valid: np.ndarray | None = None
-    for theta in directions:
-        a = math.cos(float(theta))
-        b = math.sin(float(theta))
+    for start in range(0, len(directions), block):
+        # math.cos and math.sin, as the witnesses have always used
+        thetas = directions[start : start + block].tolist()
+        a = np.array([math.cos(t) for t in thetas])[:, None]
+        b = np.array([math.sin(t) for t in thetas])[:, None]
         keys = a * xs + b * ys
-        order = np.argsort(keys, kind="stable")
-        ksort = keys[order]
-        # valid[t]: cutting after position t-1 respects key ties
-        valid = np.zeros(n + 1, dtype=bool)
-        valid[1:n] = ksort[:-1] < ksort[1:]
-        valid[n] = True
-
-        candid = valid.copy()
-        if prev_order is not None:
-            window = np.zeros(n + 1, dtype=bool)
-            ne = np.nonzero(order != prev_order)[0]
-            if ne.size:
-                window[ne[0] + 1 : ne[-1] + 1] = True
-            candid &= window | (valid & ~prev_valid)
-        cuts = ksort[candid[1:]]
-        collector.add_batch(
-            keys[None, :] <= cuts[:, None], [(a, b, c) for c in cuts.tolist()]
-        )
-        prev_order, prev_valid = order, valid
+        order, ksort = _stable_order(keys, np.arange(n) if prev_order is None else prev_order)
+        # valid[d, t]: cutting direction d after position t-1 respects key ties
+        valid = np.zeros((len(a), n + 1), dtype=bool)
+        valid[:, 1:n] = ksort[:, :-1] < ksort[:, 1:]
+        valid[:, n] = True
+        if prev_order is None:  # the first direction keeps every valid cut
+            prev_order, prev_valid = order[0], np.zeros(n + 1, dtype=bool)
+        ne = order != np.concatenate([prev_order[None], order[:-1]])
+        first = np.argmax(ne, axis=1)[:, None]
+        last = n - 1 - np.argmax(ne[:, ::-1], axis=1)[:, None]
+        window = ne.any(axis=1)[:, None] & (cols > first) & (cols <= last)
+        # a cut is a candidate inside the window or where it just became valid
+        fresh = ~np.concatenate([prev_valid[None], valid[:-1]])
+        d, t = np.nonzero((valid & (window | fresh))[:, 1:])
+        cuts = ksort[d, t]
+        collector.add_batch(keys[d] <= cuts[:, None], np.column_stack([a[d, 0], b[d, 0], cuts]))
+        prev_order, prev_valid = order[-1], valid[-1]
 
     return collector.range_set(fam, ground)
 
@@ -515,7 +557,8 @@ def _disk_rows(
     their (cx, cy, radius) witnesses as a (k, 3) array.
 
     The broadcast arithmetic matches `contains` operation for operation, so
-    each row is reproduced exactly by its witness.
+    each row is reproduced exactly by its witness. The (k, n) squares are
+    summed in place.
     """
     dxu = u[0] - centers[:, 0]
     dyu = u[1] - centers[:, 1]
@@ -523,10 +566,89 @@ def _disk_rows(
     radii = np.sqrt(rsq)
     bump = radii * radii < rsq
     radii[bump] = np.nextafter(radii[bump], np.inf)
-    dx = coords[None, :, 0] - centers[:, None, 0]
-    dy = coords[None, :, 1] - centers[:, None, 1]
-    rows = dx * dx + dy * dy <= (radii * radii)[:, None]
+    dx = np.subtract(coords[None, :, 0], centers[:, None, 0])
+    dy = np.subtract(coords[None, :, 1], centers[:, None, 1])
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    rows = np.add(dx, dy, out=dx) <= (radii * radii)[:, None]
     return rows, np.concatenate([centers, radii[:, None]], axis=1)
+
+
+def _bisector_line(u, v, j, aw, bw, span):
+    """The bisector of anchor u and point v = others[j] as p0 + t*dvec, with
+    nhat its unit normal towards v, and the positions t at which its
+    anchored disks are evaluated: whether each is a crossing with another
+    bisector, and the gap to its nearest neighbour (the face-probe step)."""
+    p0 = (u + v) / 2.0
+    dvec = np.array([-aw[j, 1], aw[j, 0]])
+    dvec /= math.hypot(dvec[0], dvec[1])
+    nhat = aw[j] / math.hypot(aw[j, 0], aw[j, 1])
+    den = aw[:, 0] * dvec[0] + aw[:, 1] * dvec[1]
+    num = bw - (aw[:, 0] * p0[0] + aw[:, 1] * p0[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tcross = num / den
+    tcross = np.unique(tcross[np.isfinite(tcross) & (den != 0.0)])
+    if tcross.size == 0:
+        return p0, dvec, nhat, np.array([0.0]), np.array([False]), np.array([span + 1.0])
+    pad = span + 1.0 + float(np.max(np.abs(tcross)))
+    mids = (tcross[:-1] + tcross[1:]) / 2.0
+    t_all = np.concatenate([[tcross[0] - pad], tcross, mids, [tcross[-1] + pad]])
+    flags = np.zeros(t_all.shape[0], dtype=bool)
+    flags[1 : 1 + tcross.size] = True
+    order = np.argsort(t_all, kind="stable")
+    t_list = t_all[order]
+    step = np.diff(t_list)
+    gaps = np.minimum(np.concatenate([[pad], step]), np.concatenate([step, [pad]]))
+    return p0, dvec, nhat, t_list, flags[order], np.maximum(gaps, span * 1e-12)
+
+
+def _disk_chunk(collector, u, coords, lines, vmask) -> None:
+    """Evaluate the anchored disks of whole bisector lines through u at once.
+
+    `lines` holds one `_bisector_line` tuple per line, and `vmask[j]` marks
+    the points equal to line j's defining point v. The rows reach the
+    collector line by line: the line's centers, then its first face probes,
+    then its halving retries, each retry's steps in order.
+    """
+    # line[r]: the line of candidate r
+    line = np.repeat(np.arange(len(lines)), [len(ln[3]) for ln in lines])
+    p0, dvec, nhat = (np.array([ln[i] for ln in lines])[line] for i in range(3))
+    t_list, is_vertex, gaps = (np.concatenate([ln[i] for ln in lines]) for i in range(3, 6))
+    vm = vmask[line]
+    centers = p0 + t_list[:, None] * dvec
+    rows, wit = _disk_rows(centers, u, coords)
+    # first face probe, a half gap off the line away from v
+    rows2, wit2 = _disk_rows(centers - (0.5 * gaps)[:, None] * nhat, u, coords)
+    # the probe can overshoot into a farther face when a nearby line cuts it
+    # off; halve the step until the expected subset shows up. A retry also
+    # stops once its center no longer moves. Vertex candidates are skipped:
+    # stepping off a vertex resolves the second tie as well, and those
+    # faces border the adjacent edge midpoints, which handle them.
+    targets = rows & ~vm
+    retry = (rows & vm).any(axis=1) & (rows2 != targets).any(axis=1) & ~is_vertex
+    k = np.nonzero(retry)[0]
+    delta = 0.25 * gaps[k]
+    probe_k, probe_rows, probe_wit = [], [], []
+    for _ in range(60):
+        c2 = centers[k] - delta[:, None] * nhat[k]
+        moved = (c2 != centers[k]).any(axis=1)
+        k, delta, c2 = k[moved], delta[moved], c2[moved]
+        if k.size == 0:
+            break
+        rows_c2, wit_c2 = _disk_rows(c2, u, coords)
+        probe_k.append(k)
+        probe_rows.append(rows_c2)
+        probe_wit.append(wit_c2)
+        miss = (rows_c2 != targets[k]).any(axis=1)
+        k, delta = k[miss], 0.5 * delta[miss]
+    # sort on (line, phase, row); the stable sort keeps each retry's steps in order
+    idx = np.concatenate([np.arange(len(line))] * 2 + probe_k)
+    phase = np.repeat([0, 1, 2], [len(line), len(line), len(idx) - 2 * len(line)])
+    order = np.lexsort((idx, phase, line[idx]))
+    collector.add_batch(
+        np.concatenate([rows, rows2] + probe_rows)[order],
+        np.concatenate([wit, wit2] + probe_wit)[order],
+    )
 
 
 def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
@@ -544,11 +666,16 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
     crossings, and beyond the extremes covers its vertices and edges.
     Stepping off the line away from its defining point v covers the open
     faces where v falls strictly outside. Where that first step overshoots,
-    the steps of all such retries on the line are halved together until
-    each shows its expected subset; every probe row is kept, in
-    retry-then-step order, since any anchored disk is a valid witness.
-    Single-position subsets come from radius-zero disks, the empty and full
-    subsets from explicit witnesses.
+    the step of each such retry is halved until it shows its expected
+    subset; every probe row is kept, in retry-then-step order, since any
+    anchored disk is a valid witness. Single-position subsets come from
+    radius-zero disks, the empty and full subsets from explicit witnesses.
+
+    The candidate positions are found line by line. The disks are then
+    evaluated over chunks of whole lines of one anchor, about
+    `_DISK_CENTERS` centers each, which caps the chunk's (centers, n)
+    arrays at a few MB; the rows reach the collector in the order a
+    line-by-line sweep gives them.
     """
     coords = ground.coords
     xs, ys = coords[:, 0], coords[:, 1]
@@ -590,79 +717,14 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
         others = np.delete(uniq, i, axis=0)
         aw = 2.0 * (others - u)
         bw = np.delete(norms, i) - float(norms[i])
+        vmask = (xs[None, :] == others[:, 0, None]) & (ys[None, :] == others[:, 1, None])
+        lines, first, centers = [], 0, 0
         for j in range(m - 1):
-            v = others[j]
-            p0 = (u + v) / 2.0
-            dvec = np.array([-aw[j, 1], aw[j, 0]])
-            dvec /= math.hypot(dvec[0], dvec[1])
-            nhat = aw[j] / math.hypot(aw[j, 0], aw[j, 1])
-            den = aw[:, 0] * dvec[0] + aw[:, 1] * dvec[1]
-            num = bw - (aw[:, 0] * p0[0] + aw[:, 1] * p0[1])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tcross = num / den
-            tcross = np.unique(tcross[np.isfinite(tcross) & (den != 0.0)])
-            if tcross.size == 0:
-                t_list = np.array([0.0])
-                is_vertex = np.array([False])
-                gaps = np.array([span + 1.0])
-            else:
-                pad = span + 1.0 + float(np.max(np.abs(tcross)))
-                mids = (tcross[:-1] + tcross[1:]) / 2.0
-                t_all = np.concatenate(
-                    [[tcross[0] - pad], tcross, mids, [tcross[-1] + pad]]
-                )
-                flags = np.zeros(t_all.shape[0], dtype=bool)
-                flags[1 : 1 + tcross.size] = True
-                order = np.argsort(t_all, kind="stable")
-                t_list = t_all[order]
-                is_vertex = flags[order]
-                step = np.diff(t_list)
-                gaps = np.minimum(
-                    np.concatenate([[pad], step]), np.concatenate([step, [pad]])
-                )
-                gaps = np.maximum(gaps, span * 1e-12)
-            centers = p0[None, :] + t_list[:, None] * dvec[None, :]
-            rows, wit = _disk_rows(centers, u, coords)
-            vmask = (xs == v[0]) & (ys == v[1])
-            # first face probe for every candidate, batched
-            off = centers - (0.5 * gaps)[:, None] * nhat[None, :]
-            rows2, wit2 = _disk_rows(off, u, coords)
-            collector.add_batch(rows, map(tuple, wit.tolist()))
-            collector.add_batch(rows2, map(tuple, wit2.tolist()))
-            # the probe can overshoot into a farther face when a nearby line
-            # cuts it off; halve the step until the expected subset shows up,
-            # for all retry rows of the line together. A retry also stops
-            # once its center no longer moves. Vertex candidates are skipped:
-            # stepping off a vertex resolves the second tie as well, and
-            # those faces border the adjacent edge midpoints, which handle them.
-            targets = rows & ~vmask[None, :]
-            retry = (
-                rows[:, vmask].any(axis=1)
-                & (rows2 != targets).any(axis=1)
-                & ~is_vertex
-            )
-            k = np.nonzero(retry)[0]
-            delta = 0.25 * gaps[k]
-            probe_k, probe_rows, probe_wit = [], [], []
-            for _ in range(60):
-                c2 = centers[k] - delta[:, None] * nhat[None, :]
-                moved = (c2 != centers[k]).any(axis=1)
-                k, delta, c2 = k[moved], delta[moved], c2[moved]
-                if k.size == 0:
-                    break
-                rows_c2, wit_c2 = _disk_rows(c2, u, coords)
-                probe_k.append(k)
-                probe_rows.append(rows_c2)
-                probe_wit.append(wit_c2)
-                miss = (rows_c2 != targets[k]).any(axis=1)
-                k, delta = k[miss], 0.5 * delta[miss]
-            if probe_k:
-                # retry-then-step order, as a one-retry-at-a-time search adds them
-                order = np.argsort(np.concatenate(probe_k), kind="stable")
-                collector.add_batch(
-                    np.concatenate(probe_rows)[order],
-                    map(tuple, np.concatenate(probe_wit)[order].tolist()),
-                )
+            lines.append(_bisector_line(u, others[j], j, aw, bw, span))
+            centers += len(lines[-1][3])
+            if centers >= _DISK_CENTERS or j == m - 2:
+                _disk_chunk(collector, u, coords, lines, vmask[first : j + 1])
+                lines, first, centers = [], j + 1, 0
 
     return collector.range_set(fam, ground)
 

@@ -1,12 +1,15 @@
 """Enumeration layer: families, ground sets, induced ranges, witnesses."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import random_coords
 from oracles import SUBSET_ORACLES, growth_bound
 from vcsample.errors import BudgetExceededError, ParameterError
+from vcsample.harness import SourceSpec, generate_ground_set
 from vcsample.ranges import (
     DEFAULT_BUDGET,
     FAMILIES,
@@ -21,6 +24,7 @@ from vcsample.ranges import (
     sauer_shelah_bound,
     write_points_csv,
     _SubsetCollector,
+    _stable_order,
 )
 
 
@@ -297,6 +301,62 @@ def test_degenerate_sweep_against_oracle(fam_name, fixture):
         assert got == set(rs.members(k).tolist())
 
 
+def _sweep_digest(rs) -> str:
+    """sha256 of the packed rows in row order, then of repr(witness list)."""
+    h = hashlib.sha256(np.ascontiguousarray(rs._bits.T).tobytes())
+    h.update(repr([rs.witness(k) for k in range(len(rs))]).encode())
+    return h.hexdigest()
+
+
+def _golden_ground(name: str) -> GroundSet:
+    if name == "uniform30":
+        return generate_ground_set(SourceSpec("uniform", n=30), 2, 1)
+    if name == "grid25":
+        return generate_ground_set(SourceSpec("grid", n=25), 2, 1)
+    return GroundSet(DEGENERATE_SWEEP[name])
+
+
+# (range count, `_sweep_digest`) of the halfplane and disk sweeps; a reordered
+# row or a witness that moves in its last bit changes the digest
+SWEEP_GOLDEN = {
+    ("halfplanes", "uniform30"): (872, "304c6a08dab9a0336a98b6dfd19f365bef41e5a88fc8d37e35ce109422017f8d"),
+    ("halfplanes", "grid25"): (402, "fd1758d2cfbf2574fc5f344b7e1336ac395e35110dbc4cfaa2d49501b812eb03"),
+    ("halfplanes", "grid5x5"): (402, "ecf0a4e0b6cb82ccd8825f3855d5debdefeba1c8f1ffcefc31f464b883686132"),
+    ("halfplanes", "grid6x4"): (378, "824a5ae6e89026e0c929d37895364c82cbe63e94ad617dbeb9f08ebd4abb4327"),
+    ("halfplanes", "collinear12+3"): (102, "a353c75ccc72726464e40f4cbc4283886865bc2a5b4da52f1d520bb9897eb5f9"),
+    ("halfplanes", "grid3x3-tripled"): (58, "d62aa234129851e1e4c8a68b529f738e5d4f00d93e76f1fa797c3ba91c509297"),
+    ("disks", "uniform30"): (4526, "4c0818f8711466b6409517a8a02561c47666a3dad989998089946961a7c42da1"),
+    ("disks", "grid25"): (1959, "41d48e0443014242e7c464103d6df4147955e1608209522ebf11204b8604d301"),
+    ("disks", "grid5x5"): (1959, "fe6bf61dbd51079a91eb8d930bc0b6f8a0db17c789f1961419f7692f95ea20a1"),
+    ("disks", "grid6x4"): (1776, "a883e45df46daae1d40fd53552a927d690640aa085f28fdd67cb62ae59564ff4"),
+    ("disks", "collinear12+3"): (353, "a9e05792167eb310f250e19ee096b86d6897729fa65773da6206dd8fb6508fbe"),
+    ("disks", "grid3x3-tripled"): (108, "39714c0edc8325e2063670efc485309f41337f2eeb657ff46ea36568b51746d8"),
+}
+
+
+@pytest.mark.parametrize("fam_name,ground_name", sorted(SWEEP_GOLDEN))
+def test_sweep_golden_output(fam_name, ground_name):
+    rs = induced_ranges(family(fam_name), _golden_ground(ground_name))
+    assert (len(rs), _sweep_digest(rs)) == SWEEP_GOLDEN[(fam_name, ground_name)]
+
+
+@pytest.mark.parametrize("size", [1, 7, 200, 10**9])
+@pytest.mark.parametrize("fam_name,ground_name", [
+    ("halfplanes", "uniform30"),
+    ("halfplanes", "collinear12+3"),
+    ("disks", "uniform30"),
+    ("disks", "grid5x5"),
+    ("disks", "grid3x3-tripled"),
+])
+def test_sweep_output_independent_of_block_size(monkeypatch, fam_name, ground_name, size):
+    """One direction or line per block, a few, and all of them at once give
+    the same rows and witnesses in the same order."""
+    monkeypatch.setattr("vcsample.ranges._HALFPLANE_KEYS", size)
+    monkeypatch.setattr("vcsample.ranges._DISK_CENTERS", size)
+    rs = induced_ranges(family(fam_name), _golden_ground(ground_name))
+    assert (len(rs), _sweep_digest(rs)) == SWEEP_GOLDEN[(fam_name, ground_name)]
+
+
 def test_degenerate_intervals():
     xs = np.array([0.5, 0.5, 0.25, 0.75, 0.25])
     rs = induced_ranges(family("intervals"), GroundSet(xs))
@@ -528,6 +588,57 @@ def test_collector_keeps_first_witness_in_insertion_order():
     assert [rs.members(k).tolist() for k in range(len(rs))] == [list(range(11)), [10], [0]]
     assert [rs.witness(k)[2] for k in range(len(rs))] == [1.0, 2.0, 4.0]
     assert rs.counts.tolist() == [11, 1, 1]
+
+
+_WITNESS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 7), st.tuples(_WITNESS, _WITNESS)), max_size=12),
+        min_size=1,
+        max_size=5,
+    ),
+    st.booleans(),
+)
+def test_collector_matches_per_row_setdefault(n, batches, as_array):
+    """Batched dedupe against one dict.setdefault per row: duplicates within
+    and across batches, witnesses as tuples or as a (k, w) float array."""
+    assume(any(batches))  # a range set holds at least one row
+    # eight row patterns over n points, so batches repeat rows
+    patterns = np.random.default_rng(n).random((8, n)) < 0.5
+    collector, reference = _SubsetCollector(), {}
+    for batch in batches:
+        rows = patterns[[i for i, _ in batch]].reshape(len(batch), n)
+        wits = [w for _, w in batch]
+        for row, w in zip(rows, wits):
+            reference.setdefault(row.tobytes(), w)
+        collector.add_batch(rows, np.array(wits, dtype=np.float64).reshape(-1, 2) if as_array else wits)
+    g = GroundSet(np.zeros((n, 2)))
+    rs = collector.range_set(family("halfplanes"), g)
+    got = {
+        np.unpackbits(rs._bits[:, k], count=n).astype(bool).tobytes(): rs.witness(k)
+        for k in range(len(rs))
+    }
+    assert list(got) == list(reference)
+    for key, w in reference.items():
+        assert repr(got[key]) == repr(w)  # signed zeros too
+        assert type(got[key]) is tuple and all(type(v) is float for v in got[key])
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_stable_order_matches_stable_argsort(n, rows, seed):
+    """Sorting from a reference order, with many ties and signed zeros."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0]), size=(rows, n))
+    order, ksort = _stable_order(keys, rng.permutation(n))
+    assert np.array_equal(order, np.argsort(keys, axis=1, kind="stable"))
+    assert np.array_equal(ksort, np.take_along_axis(keys, order, axis=1))
 
 
 def test_enumerate_induced_ranges_canonical_order():

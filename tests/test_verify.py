@@ -438,6 +438,33 @@ def test_relative_sensitive_implies_relative_on_random_trials():
     assert passes > 0  # the implication was actually exercised
 
 
+@pytest.mark.parametrize("eps", [1.0 - 2.0**-33, math.nextafter(1.0, 0.0)])
+def test_sensitive_implies_relative_cap_at_r_equal_p(eps):
+    """Clause (ii) at its tight end: r = p and eps just below 1, where the
+    sample may put s = 2p on the range and (1 + eps) p can round below 2p."""
+    X = GroundSet(np.arange(100.0))
+    # the run 0..24 (r = p = 1/4) gets 3 draws a point, the rest 1: s = 1/2 there
+    N = _sample(np.repeat(np.arange(100), [3] * 25 + [1] * 75), 100)
+    p = 0.25
+    assert verify_sensitive(X, N, eps * math.sqrt(p), "intervals").passed  # not vacuous
+    assert 75 / N.m == 2 * p
+    assert check_sensitive_implies_relative(X, N, p, eps, "intervals") is True
+    assert verify_relative(X, N, p, eps, "intervals").passed
+
+
+def test_sensitive_implies_relative_reports_a_failing_cap(monkeypatch):
+    """A clause (ii) violation alone makes the check return False."""
+    X = GroundSet(np.arange(100.0))
+    N = _sample(np.arange(100), 100)
+
+    def cap_fails(r_cnt, s_cnt, n, m, eps, p):
+        return np.zeros(len(r_cnt)), np.full(len(r_cnt), -1.0)
+
+    assert check_sensitive_implies_relative(X, N, 0.25, 0.5, "intervals") is True
+    monkeypatch.setattr(verify_module, "_relative_clauses", cap_fails)
+    assert check_sensitive_implies_relative(X, N, 0.25, 0.5, "intervals") is False
+
+
 def test_check_sensitive_implies_relative_random_trials():
     X = GroundSet(random_coords("intervals", 40, 9))
     hit = 0
