@@ -23,7 +23,10 @@ from vcsample.ranges import (
     read_points_csv,
     sauer_shelah_bound,
     write_points_csv,
+    _PackedRangeSet,
     _SubsetCollector,
+    _new_words,
+    _put_rows,
     _stable_order,
 )
 
@@ -303,7 +306,7 @@ def test_degenerate_sweep_against_oracle(fam_name, fixture):
 
 def _sweep_digest(rs) -> str:
     """sha256 of the packed rows in row order, then of repr(witness list)."""
-    h = hashlib.sha256(np.ascontiguousarray(rs._bits.T).tobytes())
+    h = hashlib.sha256(rs.packed_rows().tobytes())
     h.update(repr([rs.witness(k) for k in range(len(rs))]).encode())
     return h.hexdigest()
 
@@ -350,9 +353,11 @@ def test_sweep_golden_output(fam_name, ground_name):
 ])
 def test_sweep_output_independent_of_block_size(monkeypatch, fam_name, ground_name, size):
     """One direction or line per block, a few, and all of them at once give
-    the same rows and witnesses in the same order."""
+    the same rows and witnesses in the same order; so does copying the
+    collected rows into the row words one, a few or all rows at a time."""
     monkeypatch.setattr("vcsample.ranges._HALFPLANE_KEYS", size)
     monkeypatch.setattr("vcsample.ranges._DISK_CENTERS", size)
+    monkeypatch.setattr("vcsample.ranges._COPY_ROWS", size)
     rs = induced_ranges(family(fam_name), _golden_ground(ground_name))
     assert (len(rs), _sweep_digest(rs)) == SWEEP_GOLDEN[(fam_name, ground_name)]
 
@@ -539,9 +544,12 @@ def test_interval_members_match_mask(distinct):
             assert np.array_equal(got, np.nonzero(mask)[0])
 
 
-def test_sample_counts_matches_bruteforce():
-    # planar rows are packed 8 points to a byte: n = 1, 9, 17, 65 leave a
-    # partial last byte, and multiplicities up to 10**6 fill the byte tables
+def test_sample_counts_matches_bruteforce(monkeypatch):
+    # planar rows are uint64 words of packed bytes: n = 1, 9, 17 leave a
+    # partial last byte, and n = 63..65 and 127..129 sit on word boundaries;
+    # byte tables of 1000 rows a block put the larger sets over several
+    # blocks, the last one partial
+    monkeypatch.setattr("vcsample.ranges._TABLE_ROWS", 1000)
     rng = np.random.default_rng(3)
     for fam_name in FAMILIES:
         g = GroundSet(random_coords(fam_name, 8, 21))
@@ -555,6 +563,7 @@ def test_sample_counts_matches_bruteforce():
         for fam_name in ("halfplanes", "rectangles", "disks")
         for n in (1, 9, 17, 65)
     ]
+    cases += [("halfplanes", random_coords("halfplanes", n, 40 + n)) for n in (63, 64, 127, 128, 129)]
     # interval counts are written one block of runs per lo; 150 points on at
     # most 12 values put many points in each group
     cases += [("intervals", random_coords("intervals", n, 40 + n)) for n in (1, 2, 33)]
@@ -566,14 +575,91 @@ def test_sample_counts_matches_bruteforce():
         for k in range(len(rs)):
             dense[k, rs.members(k)] = 1
         assert np.array_equal(rs.counts, dense.sum(axis=1))
+        # all ones and about n draws mostly take the bit planes, 10**6 the
+        # byte tables; both decompositions are also checked directly
         for mult in (
+            np.ones(n, dtype=np.int64),
+            rng.multinomial(n, np.full(n, 1.0 / n)),
             np.full(n, 10**6),
             rng.integers(0, 10**6 + 1, size=n),
             rng.integers(0, 2, size=n) * 10**6,
         ):
+            want = dense @ mult
             got = rs.sample_counts(mult)
             assert got.dtype == np.int64
-            assert np.array_equal(got, dense @ mult), (fam_name, n)
+            assert np.array_equal(got, want), (fam_name, n)
+            if fam_name != "intervals":
+                for decomposition in (rs._plane_counts, rs._table_counts):
+                    got = decomposition(mult)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want), (fam_name, n, decomposition.__name__)
+
+
+def test_sample_counts_picks_the_cheaper_decomposition(monkeypatch):
+    """Bit planes while planes x (words + 1) is at most 1.8 ceil(n/8), byte tables past it."""
+    rs = induced_ranges(family("halfplanes"), GroundSet(random_coords("halfplanes", 128, 5)))
+    calls = []
+    for name in ("_plane_counts", "_table_counts"):
+        method = getattr(rs, name)
+        monkeypatch.setattr(rs, name, lambda mult, name=name, method=method: calls.append(name) or method(mult))
+    # 2 words and 16 bytes a row: up to 9 planes (multiplicity 511) use the planes
+    for top, want in ((1, "_plane_counts"), (511, "_plane_counts"), (512, "_table_counts"), (10**6, "_table_counts")):
+        mult = np.zeros(128, dtype=np.int64)
+        mult[7] = top
+        rs.sample_counts(mult)
+        assert calls.pop() == want, top
+
+
+@pytest.mark.parametrize("fam_name", ["intervals", "halfplanes"])
+@pytest.mark.parametrize(
+    "mult",
+    [
+        np.full(6, 0.5),  # used to count as all zeros
+        np.array([1, 0, -1, 0, 0, 0]),  # used to give negative counts
+        np.ones(5, dtype=np.int64),  # used to raise a raw numpy ValueError
+        np.ones(7, dtype=np.int64),
+        np.ones((6, 1), dtype=np.int64),
+        np.ones(6, dtype=bool),
+        np.array([2**63] + [0] * 5, dtype=np.uint64),  # wraps to a negative int64
+    ],
+    ids=["halves", "negative", "short", "long", "2-D", "bool", "uint64-above-int64"],
+)
+def test_sample_counts_rejects_bad_multiplicities(fam_name, mult):
+    rs = induced_ranges(family(fam_name), GroundSet(random_coords(fam_name, 6, 8)))
+    with pytest.raises(ParameterError):
+        rs.sample_counts(mult)
+
+
+def test_sample_counts_accepts_any_integer_dtype():
+    rs = induced_ranges(family("halfplanes"), GroundSet(random_coords("halfplanes", 6, 8)))
+    want = rs.sample_counts(np.arange(6))
+    for dtype in (np.uint8, np.int16, np.uint64):
+        assert np.array_equal(rs.sample_counts(np.arange(6, dtype=dtype)), want)
+    assert np.array_equal(rs.sample_counts(list(range(6))), want)
+
+
+@given(
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2, 8, 255, 10**6]),
+)
+def test_packed_rows_match_bool_rows(n, count, seed, top):
+    """Random rows through `_put_rows`: the packed bytes, members and both
+    count decompositions against the bool rows they came from."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((count, n)) < rng.random()
+    words = _new_words(n, count)
+    _put_rows(words, 0, np.packbits(rows, axis=1))
+    rs = _PackedRangeSet(family("halfplanes"), GroundSet(np.zeros((n, 2))), words, [None] * count)
+    assert np.array_equal(rs.packed_rows(), np.packbits(rows, axis=1))
+    for k in range(count):
+        assert np.array_equal(rs.members(k), np.flatnonzero(rows[k]))
+    mult = rng.integers(0, top + 1, size=n)
+    want = rows.astype(np.int64) @ mult
+    assert np.array_equal(rs.sample_counts(mult), want)
+    assert np.array_equal(rs._plane_counts(mult), want)
+    assert np.array_equal(rs._table_counts(mult), want)
 
 
 def test_collector_keeps_first_witness_in_insertion_order():
@@ -618,8 +704,8 @@ def test_collector_matches_per_row_setdefault(n, batches, as_array):
     g = GroundSet(np.zeros((n, 2)))
     rs = collector.range_set(family("halfplanes"), g)
     got = {
-        np.unpackbits(rs._bits[:, k], count=n).astype(bool).tobytes(): rs.witness(k)
-        for k in range(len(rs))
+        np.unpackbits(row, count=n).astype(bool).tobytes(): rs.witness(k)
+        for k, row in enumerate(rs.packed_rows())
     }
     assert list(got) == list(reference)
     for key, w in reference.items():
