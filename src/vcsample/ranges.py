@@ -241,9 +241,8 @@ class InducedRangeSet:
 
     Row 0 is always the empty range. `counts[k]` is |range k| counting
     multiplicity, built on first use; `sample_counts` maps a per-point
-    multiplicity vector to per-range hit counts in one vectorized pass,
-    which is what makes the exhaustive verifiers affordable at thousands of
-    points. Individual `InducedRange` objects are materialized on demand.
+    multiplicity vector to per-range hit counts in one vectorized pass.
+    Individual `InducedRange` objects are materialized on demand.
     """
 
     def __init__(self, fam: RangeFamily, ground: GroundSet):

@@ -166,11 +166,6 @@ def _report(
     )
 
 
-def _deviations(engine: InducedRangeSet, N: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """(r_counts, s_counts) as int64 arrays, exact."""
-    return engine.counts, engine.sample_counts(N.multiplicities())
-
-
 # Margin kernels map exact per-range ground and sample counts to signed
 # slacks, non-negative exactly where the guarantee holds on that range.
 
@@ -339,43 +334,34 @@ def _interval_approx_worst(engine, P, n, m, eps, p, ties):
 # count limit carries that level's least cap. The envelope sides are
 # differences of per-end values, s - (1 - e) r = A[end] - A[lo] and
 # (1 + e) r - s = B[end] - B[lo] with A = P/m - (1 - e) cum/n and
-# B = (1 + e) cum/n - P/m, so range-argmin tables over each envelope band's
+# B = (1 + e) cum/n - P/m, so range-min tables over each envelope band's
 # ends give their least values. _TOL exceeds twice the rounding error of
 # these differences (a few ulp of values at most 2), so best - _TOL bounds
 # each lo's margins from below and best.min() + _TOL the worst from above.
 _TOL = 1e-12
-# The one deferral, to the row scorer over every run: the per-level arrays
-# take about 150 bytes per (level, lo) entry, the row scorer about 30 MB in
-# all, and the two break even at about 2.5 ranges per entry at n = 500, 5.5 at
-# n = 2000 and 8 at n = 5000 (in-process medians, m = 2000, eps = 0.1,
-# shared 2-core Xeon; n = 5000, p = 1/300: 0.26 s and 272 MB peak against
-# 0.29 s and 66 MB). So the fast path defers past an eighth of the range
-# count or _LEVEL_CAP, about 150 MB, but not within _LEVEL_FLOOR (10 MB).
-_LEVEL_CAP = 1 << 20
+# The one deferral, to the row scorer over every run: the per-level arrays,
+# float64 min tables included, take about 200-220 bytes per (level, lo)
+# entry, the row scorer under 10 MB in all, and the two break even at about
+# 2.5 ranges per entry at n = 500, 5.5 at n = 2000 and 8 at n = 5000
+# (in-process medians, m = 2000, eps = 0.1, shared 2-core Xeon). At n = 5000,
+# p = 1/300 (8.3 ranges per entry), fresh processes: 0.43-0.53 s and 288 MB
+# of growth against 0.42-0.53 s and 8 MB; at p = 1/156.5, 785,157 entries,
+# 162 MB. So the fast path defers past an eighth of the range count or
+# _LEVEL_CAP, about 165 MB, but not within _LEVEL_FLOOR (14 MB).
+_LEVEL_CAP = 3 << 18
 _LEVEL_FLOOR = 1 << 16
 
 
-def _argmin_tables(V, depth):
-    """tables[t, row, x]: a position of the least entry of V[row] in
-    [x, x + 2**t)."""
-    tables = np.empty((depth + 1, *V.shape), dtype=np.int32)
-    idx = np.broadcast_to(np.arange(V.shape[1], dtype=np.int32), V.shape)
-    val = V
-    tables[0] = idx
+def _min_tables(V, depth):
+    """tables[t, row, x]: the least entry of V[row] in [x, x + 2**t), for
+    x + 2**t <= V.shape[1]."""
+    tables = np.empty((depth + 1, *V.shape), dtype=V.dtype)
+    tables[0] = V
     for t in range(1, depth + 1):
         h = 1 << (t - 1)
-        left = val[:, :-h] <= val[:, h:]
-        idx = np.where(left, idx[:, :-h], idx[:, h:])
-        val = np.minimum(val[:, :-h], val[:, h:])
-        tables[t, :, : idx.shape[1]] = idx
+        tables[t] = tables[t - 1]
+        np.minimum(tables[t - 1, :, :-h], tables[t - 1, :, h:], out=tables[t, :, :-h])
     return tables
-
-
-def _argmin(V, tables, row, a, b):
-    """A position of the least entry of V[row] in [a, b), elementwise (a < b)."""
-    t = np.frexp(b - a)[1] - 1
-    i, j = tables[t, row, a], tables[t, row, b - (1 << t)]
-    return np.where(V[row, i] <= V[row, j], i, j).astype(np.int64)
 
 
 def _interval_relative_style(engine, P, n, m, ties, margins, ladder):
@@ -406,9 +392,11 @@ def _interval_relative_style(engine, P, n, m, ties, margins, ladder):
     a, b = np.tile(G[:-1], (2, 1)), np.tile(G[1:], (2, 1))
     row, at = np.nonzero(a < b)
     a, b = a[row, at], b[row, at]
-    tables = _argmin_tables(V, int((b - a).max(initial=1)).bit_length() - 1)
+    tables = _min_tables(V, int((b - a).max(initial=1)).bit_length() - 1)
+    # the least of V[row] in [a, b): two overlapping power-of-two windows
+    t = np.frexp(b - a)[1] - 1
     side = np.full((V.shape[0], k), math.inf)
-    side[row, at] = V[row, _argmin(V, tables, row, a, b)] - V[row, at]
+    side[row, at] = np.minimum(tables[t, row, a], tables[t, row, b - (1 << t)]) - V[row, at]
     best = np.minimum(best, side.min(axis=0))
     return _score_rows(engine, P, ties, margins, best - _TOL, best.min() + _TOL)
 
@@ -436,18 +424,6 @@ def _interval_relative_sensitive_worst(engine, P, n, m, eps, p, ties):
 # The _BANDS bands are uniform in sqrt(r_cnt), as the allowance is, so each
 # leaves about the same allowance slack.
 _BANDS = 32
-
-
-def _min_tables(V, depth):
-    """tables[t, row, x]: the least entry of V[row] in [x, x + 2**t), for
-    x + 2**t <= V.shape[1]."""
-    tables = np.empty((depth + 1, *V.shape), dtype=V.dtype)
-    tables[0] = V
-    for t in range(1, depth + 1):
-        h = 1 << (t - 1)
-        tables[t] = tables[t - 1]
-        np.minimum(tables[t - 1, :, :-h], tables[t - 1, :, h:], out=tables[t, :, :-h])
-    return tables
 
 
 def _interval_sensitive_worst(engine, P, n, m, eps, p, ties):
@@ -565,20 +541,27 @@ def _worst_margin(
     """The worst margin of N over every range of the engine and, if ties is
     set, the ascending ids of the ranges attaining it (on intervals the empty
     range alone for a tie it is in). Arguments are taken as already checked."""
+    if isinstance(engine, _IntervalRangeSet) and prop.interval_worst is not None:
+        P = engine.sample_prefix(N.multiplicities())
+        found = prop.interval_worst(engine, P, engine.n, N.m, eps, p, ties)
+        if found is not None:
+            return found
+    return _every_range(engine, N, lambda r, s: prop.margins(r, s, engine.n, N.m, eps, p), ties)
+
+
+def _every_range(
+    engine: InducedRangeSet, N: Sample, margins: Callable[..., np.ndarray], ties: bool
+) -> tuple[float, np.ndarray | None]:
+    """`_worst_margin` with no fast path, margins(r_cnt, s_cnt) being the
+    kernel: the row scorer over every run on intervals, the per-range counts
+    elsewhere."""
     if isinstance(engine, _IntervalRangeSet):
         P = engine.sample_prefix(N.multiplicities())
-        if prop.interval_worst is not None:
-            found = prop.interval_worst(engine, P, engine.n, N.m, eps, p, ties)
-            if found is not None:
-                return found
-        # every run: no lo has a lower bound on its margins
-        return _score_rows(
-            engine, P, ties, lambda r, s: prop.margins(r, s, engine.n, N.m, eps, p),
-            np.full(P.shape[0] - 1, -math.inf), math.inf,
-        )
-    margins = prop.margins(*_deviations(engine, N), engine.n, N.m, eps, p)
-    worst = float(np.min(margins))
-    return worst, (np.nonzero(margins == worst)[0] if ties else None)
+        # no lo has a lower bound on its margins
+        return _score_rows(engine, P, ties, margins, np.full(P.shape[0] - 1, -math.inf), math.inf)
+    margin = margins(engine.counts, engine.sample_counts(N.multiplicities()))
+    worst = float(np.min(margin))
+    return worst, (np.nonzero(margin == worst)[0] if ties else None)
 
 
 def verify_property(
@@ -665,11 +648,9 @@ def verify_relative_sensitive(
     )
 
 
-def _sensitive_premise(engine: InducedRangeSet, N: Sample, eps: float) -> bool:
-    """Whether N is a sensitive eps-approximation, found without the
-    per-range counts that the conclusions need (so a failing premise, where
-    an implication holds vacuously, builds none)."""
-    return _worst_margin(PROPERTIES["sensitive"], engine, N, eps, None, ties=False)[0] >= 0.0
+def _holds(name: str, engine: InducedRangeSet, N: Sample, eps: float, p: float | None) -> bool:
+    """Whether N passes the registered property `name` on every range."""
+    return _worst_margin(PROPERTIES[name], engine, N, eps, p, ties=False)[0] >= 0.0
 
 
 def check_sensitive_implies_net_approx(
@@ -691,12 +672,11 @@ def check_sensitive_implies_net_approx(
     """
     eps = _check_unit("eps", eps)
     engine = _engine(X, N, fam, budget, ranges)
-    if not _sensitive_premise(engine, N, eps):
+    if not _holds("sensitive", engine, N, eps, None):
         return True
-    counts = (*_deviations(engine, N), len(X), N.m)
-    net = _net_margins(*counts, eps * eps, None)
-    approx = _approx_margins(*counts, eps * (1.0 + eps) / 2.0, None)
-    return bool(np.min(net) >= 0.0 and np.min(approx) >= 0.0)
+    return _holds("eps_net", engine, N, eps * eps, None) and _holds(
+        "eps_approx", engine, N, eps * (1.0 + eps) / 2.0, None
+    )
 
 
 def check_sensitive_implies_relative(
@@ -727,11 +707,14 @@ def check_sensitive_implies_relative(
     eps = _check_unit("eps", eps)
     engine = _engine(X, N, fam, budget, ranges)
     eps_prime = eps * math.sqrt(p)
-    if not _sensitive_premise(engine, N, eps_prime):
+    if not _holds("sensitive", engine, N, eps_prime, None):
         return True
-    clause_i, clause_ii = _relative_clauses(*_deviations(engine, N), len(X), N.m, eps, p)
-    clause_i_ok = bool(np.min(clause_i) >= 0.0)
-    clause_ii_ok = bool(np.min(clause_ii) >= 0.0)
+    clause_i_ok, clause_ii_ok = (
+        _every_range(
+            engine, N, lambda r, s: _relative_clauses(r, s, len(X), N.m, eps, p)[c], ties=False
+        )[0] >= 0.0
+        for c in (0, 1)
+    )
     log.info(
         "sensitive(eps'=%.6g) passed; relative clause (i) %s, clause (ii) %s",
         eps_prime,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import sys
 from types import SimpleNamespace
@@ -26,7 +27,6 @@ from vcsample.sampling import Sample, draw_sample
 from vcsample.verify import (
     PROPERTIES,
     REL_TOL,
-    _deviations,
     _net_margins,
     _relative_kernel,
     _relative_sensitive_margins,
@@ -44,6 +44,12 @@ from vcsample.verify import (
 )
 
 _UP = 1.0 + REL_TOL
+
+
+def _deviations(rs, N):
+    """Every range's ground and sample counts, through the range set's
+    public per-range counts."""
+    return rs.counts, rs.sample_counts(N.multiplicities())
 
 
 def _sample(indices, ground_size):
@@ -134,9 +140,10 @@ def test_implication_check_vacuous_on_sensitive_failure():
     assert check_sensitive_implies_net_approx(X, N, 0.2, "intervals") is True
 
 
-def test_implication_checks_skip_counts_on_failing_premise(monkeypatch):
-    """A failing sensitive premise is found by the fast path, and the vacuous
-    True comes back before any per-range count is built."""
+def test_implication_checks_build_no_per_range_counts(monkeypatch):
+    """On intervals both implication checks score premise and conclusions
+    through the fast paths and the row scorer: no per-range count is built,
+    whether the sensitive premise fails (the vacuous True) or passes."""
 
     def refuse(self, multiplicities):
         raise AssertionError("per-range sample counts built")
@@ -147,6 +154,62 @@ def test_implication_checks_skip_counts_on_failing_premise(monkeypatch):
     assert check_sensitive_implies_net_approx(X, N, 0.2, "intervals") is True
     # eps * sqrt(p) = 0.2 again
     assert check_sensitive_implies_relative(X, N, 0.25, 0.4, "intervals") is True
+
+    X = GroundSet(random_coords("intervals", 100, 2))
+    rs = induced_ranges(family("intervals"), X)
+    N = draw_sample(X, 2000, 2)
+    # eps * sqrt(p) = 0.25 for the relative check
+    assert verify_sensitive(X, N, 0.25, "intervals", ranges=rs).passed  # not vacuous
+    assert check_sensitive_implies_net_approx(X, N, 0.25, "intervals", ranges=rs) is True
+    assert check_sensitive_implies_relative(X, N, 0.25, 0.5, "intervals", ranges=rs) is True
+    assert "counts" not in rs.__dict__
+
+
+@pytest.mark.parametrize("fam_name", ["intervals", "halfplanes", "rectangles", "disks"])
+def test_implication_checks_agree_with_naive_oracle(fam_name):
+    """Both implication checks against the oracle's premise and conclusions
+    on at most 12 points with duplicates, over samples whose sensitive
+    premise passes and samples whose premise fails. Three copies of one
+    point and one other point, with the copies drawn once each, is the
+    boundary counterexample of the net conclusion in every family."""
+    fam = family(fam_name)
+    corner = np.array([0.0, 0.0, 0.0, 1.0])
+    cases = [(corner if fam.ambient_dim == 1 else np.stack([corner, corner], axis=1), [0, 1, 2])]
+    for trial in range(6):
+        coords = random_coords(fam_name, 8, 6100 + trial)
+        coords = np.concatenate([coords, coords[: 1 + trial % 4]])  # 9 to 12 points
+        n = coords.shape[0]
+        rng = np.random.default_rng(6100 + trial)
+        cases += [
+            (coords, np.arange(n)),
+            (coords, np.concatenate([np.arange(n), rng.integers(0, n, 3)])),
+            (coords, rng.integers(0, n, 4 * n)),
+        ]
+    premises, falses = set(), 0
+    for coords, draws in cases:
+        X = GroundSet(coords)
+        n = len(X)
+        rs = induced_ranges(fam, X)
+        subsets = oracles.SUBSET_ORACLES[fam_name](coords.reshape(n, -1))
+        N = _sample(draws, n)
+        mult = N.multiplicities()
+        for eps in (0.3, 0.5, 0.9):
+            premise = oracles.verify_sensitive(subsets, n, mult, eps)
+            want = not premise or (
+                oracles.verify_net(subsets, n, mult, eps * eps)
+                and oracles.verify_approx(subsets, n, mult, eps * (1.0 + eps) / 2.0)
+            )
+            got = check_sensitive_implies_net_approx(X, N, eps, fam_name, ranges=rs)
+            assert got is want, (fam_name, coords, draws, eps)
+            premises.add(premise)
+            falses += not got
+            for p in (0.2, 0.5):
+                premise = oracles.verify_sensitive(subsets, n, mult, eps * math.sqrt(p))
+                want = not premise or oracles.verify_relative(subsets, n, mult, p, eps)
+                got = check_sensitive_implies_relative(X, N, p, eps, fam_name, ranges=rs)
+                assert got is want, (fam_name, coords, draws, eps, p)
+                premises.add(premise)
+    assert premises == {True, False} and falses > 0  # neither side vacuous
 
 
 # --------------------------------------------------------------- tie-break
@@ -452,17 +515,26 @@ def test_sensitive_implies_relative_cap_at_r_equal_p(eps):
     assert verify_relative(X, N, p, eps, "intervals").passed
 
 
-def test_sensitive_implies_relative_reports_a_failing_cap(monkeypatch):
-    """A clause (ii) violation alone makes the check return False."""
+@pytest.mark.parametrize("clause", ["i", "ii"])
+def test_sensitive_implies_relative_reports_a_failing_clause(clause, monkeypatch, caplog):
+    """A violation of either relative clause alone makes the check return
+    False, and the INFO line names that clause, and only it, VIOLATED."""
     X = GroundSet(np.arange(100.0))
     N = _sample(np.arange(100), 100)
 
-    def cap_fails(r_cnt, s_cnt, n, m, eps, p):
-        return np.zeros(len(r_cnt)), np.full(len(r_cnt), -1.0)
+    def one_fails(r_cnt, s_cnt, n, m, eps, p):
+        holds, fails = np.zeros(len(r_cnt)), np.full(len(r_cnt), -1.0)
+        return (fails, holds) if clause == "i" else (holds, fails)
 
     assert check_sensitive_implies_relative(X, N, 0.25, 0.5, "intervals") is True
-    monkeypatch.setattr(verify_module, "_relative_clauses", cap_fails)
-    assert check_sensitive_implies_relative(X, N, 0.25, 0.5, "intervals") is False
+    monkeypatch.setattr(verify_module, "_relative_clauses", one_fails)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="vcsample.verify"):
+        assert check_sensitive_implies_relative(X, N, 0.25, 0.5, "intervals") is False
+    verdicts = {"i": "(i) VIOLATED, clause (ii) holds", "ii": "(i) holds, clause (ii) VIOLATED"}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"sensitive(eps'=0.25) passed; relative clause {verdicts[clause]}"
+    ]
 
 
 def test_check_sensitive_implies_relative_random_trials():
@@ -772,7 +844,8 @@ import numpy as np
 from vcsample.ranges import GroundSet, family, induced_ranges
 from vcsample.sampling import Sample, draw_sample
 from vcsample.verify import (
-    PROPERTIES, _worst_margin, verify_eps_approx, verify_eps_net, verify_relative,
+    PROPERTIES, _worst_margin, check_sensitive_implies_net_approx,
+    check_sensitive_implies_relative, verify_eps_approx, verify_eps_net, verify_relative,
     verify_relative_sensitive, verify_sensitive,
 )
 
@@ -818,6 +891,13 @@ for rep in (verify_eps_net(X, N, 0.05, rs.family, ranges=rs),
             # 1001 x 5001 per-level entries: the level guard defers
             verify_relative_sensitive(X, M, 0.001, 0.3, rs.family, ranges=rs)):
     assert rep.ranges_checked == 5000 * 5001 // 2 + 1
+# both implication checks, each with a passing premise (eps * sqrt(p) for
+# the relative one), so that their conclusions are scored
+L = draw_sample(X, 20000, 5)
+assert verify_sensitive(X, M, 0.3, rs.family, ranges=rs).passed
+assert check_sensitive_implies_net_approx(X, M, 0.3, rs.family, ranges=rs)
+assert verify_sensitive(X, L, 0.5 * 0.05 ** 0.5, rs.family, ranges=rs).passed
+assert check_sensitive_implies_relative(X, L, 0.05, 0.5, rs.family, ranges=rs)
 print(tie_growth, peak_mb(), "counts" in rs.__dict__, scored_growth)
 """
 
@@ -829,10 +909,11 @@ def test_interval_memory_stays_bounded():
     relative_sensitive on 2000 values, whose 1.5M scored runs go through the
     kernel in blocks, so the peak grows by less than 64 MB. Then intervals
     at the default budget, n = 5000 (12.5M ranges), verified for every
-    property and for a relative_sensitive p the level guard defers: the row
-    scorer reads only per-value arrays and scores about _BLOCK runs at a
-    time, so no per-range array is built and peak RSS stays far below the
-    100 MB that a single int64 per range would take."""
+    property and for a relative_sensitive p the level guard defers, then
+    through both implication checks with a passing premise: the row scorer
+    reads only per-value arrays and scores about _BLOCK runs at a time, so
+    no per-range array is built and peak RSS stays far below the 100 MB
+    that a single int64 per range would take."""
     pytest.importorskip("resource")
     # a process keeps, across exec, the peak RSS of the memory image it
     # replaced (this test runner's), so the measured child is started from a
