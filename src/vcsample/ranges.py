@@ -310,7 +310,7 @@ class _IntervalRangeSet(InducedRangeSet):
         self.values, self.group_id = np.unique(ground.coords[:, 0], return_inverse=True)
         # point indices grouped by value, ascending within each group
         self._order = np.argsort(self.group_id, kind="stable")
-        self._cum = self.sample_prefix(np.ones(self.n, dtype=np.int64))
+        self._cum = np.concatenate(([0], np.cumsum(np.bincount(self.group_id))))
         # _starts[lo]: first row of the runs from lo (`row_id` order); the last is len(self)
         groups = np.arange(self.values.shape[0] + 1)
         self._starts = self.row_id(groups, groups)
@@ -331,11 +331,8 @@ class _IntervalRangeSet(InducedRangeSet):
 
     def sample_prefix(self, multiplicities: np.ndarray) -> np.ndarray:
         """Per-group prefix sums of the multiplicities, length k + 1: run
-        lo..hi holds prefix[hi + 1] - prefix[lo] draws."""
-        per_group = np.bincount(
-            self.group_id, weights=multiplicities, minlength=self.values.shape[0]
-        ).astype(np.int64)
-        return np.concatenate(([0], np.cumsum(per_group)))
+        lo..hi holds prefix[hi + 1] - prefix[lo] draws; exact int64 sums."""
+        return np.concatenate(([0], np.cumsum(multiplicities[self._order])[self._cum[1:] - 1]))
 
     def _sample_counts(self, mult: np.ndarray) -> np.ndarray:
         prefix = self.sample_prefix(mult)
@@ -355,13 +352,6 @@ class _IntervalRangeSet(InducedRangeSet):
         return (float(self.values[lo]), float(self.values[hi]))
 
 
-# BYTE_BITS[v]: the 8 bits of byte value v, first point first, as np.packbits packs them
-BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-# rows per block of `_PackedRangeSet._table_counts`: one pass over 62k to 390k
-# rows gathers 7-12% slower, blocks of 4096 rows or fewer slower still
-_TABLE_ROWS = 2**15
-
-
 def _new_words(n: int, rows: int) -> np.ndarray:
     """Zeroed (ceil(n/64), rows) uint64 storage for `rows` packed rows of n points."""
     return np.zeros(((n + 63) // 64, rows), dtype=np.uint64)
@@ -379,7 +369,7 @@ def _put_rows(words: np.ndarray, start: int, packed: np.ndarray) -> None:
 
 
 class _PackedRangeSet(InducedRangeSet):
-    """Planar induced-range storage, one witness per row and the rows as
+    """Halfplane and disk storage, one witness per row and the rows as
     `words`, a (W, R) uint64 array with W = ceil(n/64).
 
     Column r holds row r's `np.packbits` bytes, padded with zero bytes to
@@ -402,16 +392,6 @@ class _PackedRangeSet(InducedRangeSet):
         return np.ascontiguousarray(rows.reshape(nr, 8 * nw)[:, : (self.n + 7) // 8])
 
     def _sample_counts(self, mult: np.ndarray) -> np.ndarray:
-        # Timed costs over all rows, in word passes (and, popcount, add): a
-        # bit plane W of them plus about one for its Horner step, a byte
-        # table about 1.8. The planes are cheaper up to 4 planes at n = 40
-        # (W = 1), 6 at n = 80 (W = 2) and 11 at n = 250 (W = 4).
-        planes = int(mult.max()).bit_length()
-        if planes * (self._words.shape[0] + 1) > 1.8 * ((self.n + 7) // 8):
-            return self._table_counts(mult)
-        return self._plane_counts(mult)
-
-    def _plane_counts(self, mult: np.ndarray) -> np.ndarray:
         """Sum over the bit planes b of the multiplicities of 2^b times the
         popcount of each row ANDed with plane b, by Horner's rule from the
         top plane; all-zero plane words are skipped."""
@@ -436,33 +416,56 @@ class _PackedRangeSet(InducedRangeSet):
             np.add(out, plane_sum, out=out)
         return out
 
-    def _table_counts(self, mult: np.ndarray) -> np.ndarray:
-        """Per byte position, a 256-entry table of the hit count of each byte
-        value, gathered over blocks of `_TABLE_ROWS` rows of the byte view."""
-        nw, nr = self._words.shape
-        nbytes = (self.n + 7) // 8
-        padded = np.zeros(8 * nbytes, dtype=np.int64)
-        padded[: self.n] = mult
-        tables = padded.reshape(nbytes, 8) @ BYTE_BITS.T
-        view = self._words.view(np.uint8).reshape(nw, nr, 8)
-        out = np.zeros(nr, dtype=np.int64)
-        hits = np.empty(min(nr, _TABLE_ROWS), dtype=np.int64)
-        for s in range(0, nr, _TABLE_ROWS):
-            block = out[s : s + _TABLE_ROWS]
-            got = hits[: len(block)]
-            for p in range(nbytes):
-                # byte values index every table, so "clip" clips nothing; it
-                # lets take write into `got` without a temporary
-                np.take(tables[p], view[p // 8, s : s + _TABLE_ROWS, p % 8], out=got, mode="clip")
-                block += got
-        return out
-
     def members(self, k: int) -> np.ndarray:
         row = np.ascontiguousarray(self._words[:, k]).view(np.uint8)
         return np.flatnonzero(np.unpackbits(row, count=self.n))
 
     def witness(self, k: int) -> tuple[float, ...]:
         return self._witnesses[k]
+
+
+class _BoxRangeSet(InducedRangeSet):
+    """Rectangle storage: each row a tight box (a, b) x (c, d) over the ranks
+    of the sorted distinct x values `vx` and y values `vy`, as `corners`, a
+    (4, R) int32 array of flat positions in the (nx + 1) x (ny + 1) prefix
+    table T of the multiplicities (T[i, j] sums the points of x-rank below i
+    and y-rank below j). Box k holds T[b+1, d+1] + T[a, c] - T[a, d+1] -
+    T[b+1, c] draws, corners in that order; row 0, the empty range, has all
+    four at T[0, 0] = 0, which decodes to b = d = -1."""
+
+    def __init__(self, fam, ground, vx, gx, vy, gy, corners):
+        super().__init__(fam, ground)
+        self._vx, self._gx, self._vy, self._gy, self._corners = vx, gx, vy, gy, corners
+
+    def __len__(self) -> int:
+        return self._corners.shape[1]
+
+    def _sample_counts(self, mult: np.ndarray) -> np.ndarray:
+        table = np.zeros((self._vx.shape[0] + 1, self._vy.shape[0] + 1), dtype=np.int64)
+        np.add.at(table, (self._gx + 1, self._gy + 1), mult)
+        np.cumsum(table, axis=0, out=table)
+        flat = np.cumsum(table, axis=1, out=table).ravel()
+        # the corners index the table, so "clip" clips nothing; it lets take
+        # write into `part` without a temporary
+        out = np.take(flat, self._corners[0])
+        part = np.empty_like(out)
+        for corner, op in ((1, np.add), (2, np.subtract), (3, np.subtract)):
+            op(out, np.take(flat, self._corners[corner], out=part, mode="clip"), out=out)
+        return out
+
+    def _box(self, k: int) -> tuple[int, int, int, int]:
+        (b, d), (a, c) = (divmod(int(v), self._vy.shape[0] + 1) for v in self._corners[:2, k])
+        return a, b - 1, c, d - 1
+
+    def members(self, k: int) -> np.ndarray:
+        a, b, c, d = self._box(k)
+        return np.flatnonzero((self._gx >= a) & (self._gx <= b) & (self._gy >= c) & (self._gy <= d))
+
+    def witness(self, k: int) -> tuple[float, ...]:
+        a, b, c, d = self._box(k)
+        if b < 0:
+            return _empty_run(self._vx[0]) + _empty_run(self._vy[0])
+        return (float(self._vx[a]), float(self._vx[b]), float(self._vy[c]), float(self._vy[d]))
 
 
 # ---------------------------------------------------------------------------
@@ -826,42 +829,39 @@ def _build_disks(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
     return collector.range_set(fam, ground)
 
 
-def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
+def _build_rectangles(fam: RangeFamily, ground: GroundSet) -> _BoxRangeSet:
     """Tight-box sweep over all closed axis-parallel rectangles.
 
     A nonempty subset is induced iff its members' bounding box induces it,
     and that box is unique. Over the sorted distinct values, box (a, b) x
     (c, d) is such a tight box when it has a member in x-groups a and b and
     in y-groups c and d, so the tight boxes list every subset once, no dedupe.
+    Rows run over a, then b, then the y-runs (c, d) in `np.triu_indices` order.
     """
     coords = ground.coords
     vx, gx = np.unique(coords[:, 0], return_inverse=True)
     vy, gy = np.unique(coords[:, 1], return_inverse=True)
-    occupied = np.zeros((vx.shape[0], vy.shape[0]), dtype=bool)
+    nx, ny = vx.shape[0], vy.shape[0]
+    occupied = np.zeros((nx, ny), dtype=bool)
     occupied[gx, gy] = True
-    # y-run j is c[j]..d[j]; side[a, j]: x-group a meets it; present: y-groups of run a..b
-    c, d = np.triu_indices(vy.shape[0])
+    # y-run j is c[j]..d[j]; side[a, j]: x-group a meets it
+    c, d = np.triu_indices(ny)
     cum = np.cumsum(np.pad(occupied, ((0, 0), (1, 0))), axis=1)
     side = cum[:, d + 1] > cum[:, c]
-    vxl, y_runs = vx.tolist(), list(zip(vy[c].tolist(), vy[d].tolist()))
 
-    # the y-runs j of each x-run a..b first, so the row words are allocated once
-    boxes = []
-    for a in range(vx.shape[0]):
-        present = np.zeros(vy.shape[0], dtype=bool)
-        for b in range(a, vx.shape[0]):
-            present |= occupied[b]
-            boxes.append((a, b, np.nonzero(side[a] & side[b] & present[c] & present[d])[0]))
+    def tight(a: int) -> np.ndarray:  # [b - a, j]: box a..b over y-run j is tight
+        present = np.logical_or.accumulate(occupied[a:], axis=0)
+        return side[a] & side[a:] & present[:, c] & present[:, d]
 
-    # row 0, the empty range, stays zero
-    words = _new_words(len(ground), 1 + sum(len(j) for _, _, j in boxes))
-    witnesses = [_empty_run(vx[0]) + _empty_run(vy[0])]
-    for a, b, j in boxes:
-        rows = (gx >= a) & (gx <= b) & (gy >= c[j, None]) & (gy <= d[j, None])
-        _put_rows(words, len(witnesses), np.packbits(rows, axis=1))
-        witnesses += [(vxl[a], vxl[b]) + y_runs[i] for i in j.tolist()]
-
-    return _PackedRangeSet(fam, ground, words, witnesses)
+    # a counting pass first, so the corners are allocated once; `side` alone
+    # takes nx * ny^2 / 2 bytes, so the table's positions fit int32
+    sizes = [np.count_nonzero(tight(a)) for a in range(nx)]
+    corners = np.zeros((4, 1 + sum(sizes)), dtype=np.int32)
+    for a, start in enumerate(np.cumsum([1] + sizes[:-1]).tolist()):
+        b, j = np.nonzero(tight(a))
+        lo, hi = a * (ny + 1), (a + b + 1) * (ny + 1)
+        corners[:, start : start + len(j)] = hi + d[j] + 1, lo + c[j], lo + d[j] + 1, hi + c[j]
+    return _BoxRangeSet(fam, ground, vx, gx, vy, gy, corners)
 
 
 FAMILIES: dict[str, RangeFamily] = {

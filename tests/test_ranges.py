@@ -343,6 +343,31 @@ def test_sweep_golden_output(fam_name, ground_name):
     assert (len(rs), _sweep_digest(rs)) == SWEEP_GOLDEN[(fam_name, ground_name)]
 
 
+def _box_digest(rs) -> str:
+    """sha256 of repr of every row's member list in row order, then of
+    repr(witness list)."""
+    h = hashlib.sha256(repr([rs.members(k).tolist() for k in range(len(rs))]).encode())
+    h.update(repr([rs.witness(k) for k in range(len(rs))]).encode())
+    return h.hexdigest()
+
+
+# (range count, `_box_digest`) of the rectangle sweep: its row order and witnesses
+BOX_GOLDEN = {
+    "uniform30": (9734, "76f74b804d9cf6b6bcba5464fd52379c4a7fb38d221342fce7dbfc9ad8ac0429"),
+    "grid5x5": (226, "f62df0936a812ddab759b9a426e182684c030a496ac8028f5436565a81aba36e"),
+    "grid3x3-tripled": (37, "81c7bf50e082369076674330514a2827ce14460f916f84d7c4e4e7aa982bb3f9"),
+}
+
+
+@pytest.mark.parametrize("ground_name", sorted(BOX_GOLDEN))
+def test_rectangle_golden_output(ground_name):
+    rs = induced_ranges(family("rectangles"), _golden_ground(ground_name))
+    assert (len(rs), _box_digest(rs)) == BOX_GOLDEN[ground_name]
+    for k in range(len(rs)):
+        w = rs.witness(k)
+        assert type(w) is tuple and len(w) == 4 and all(type(v) is float for v in w)
+
+
 @pytest.mark.parametrize("size", [1, 7, 200, 10**9])
 @pytest.mark.parametrize("fam_name,ground_name", [
     ("halfplanes", "uniform30"),
@@ -544,12 +569,9 @@ def test_interval_members_match_mask(distinct):
             assert np.array_equal(got, np.nonzero(mask)[0])
 
 
-def test_sample_counts_matches_bruteforce(monkeypatch):
+def test_sample_counts_matches_bruteforce():
     # planar rows are uint64 words of packed bytes: n = 1, 9, 17 leave a
-    # partial last byte, and n = 63..65 and 127..129 sit on word boundaries;
-    # byte tables of 1000 rows a block put the larger sets over several
-    # blocks, the last one partial
-    monkeypatch.setattr("vcsample.ranges._TABLE_ROWS", 1000)
+    # partial last byte, and n = 63..65 and 127..129 sit on word boundaries
     rng = np.random.default_rng(3)
     for fam_name in FAMILIES:
         g = GroundSet(random_coords(fam_name, 8, 21))
@@ -564,6 +586,8 @@ def test_sample_counts_matches_bruteforce(monkeypatch):
         for n in (1, 9, 17, 65)
     ]
     cases += [("halfplanes", random_coords("halfplanes", n, 40 + n)) for n in (63, 64, 127, 128, 129)]
+    # duplicate x and y values put several points in one rank of a box
+    cases += [("rectangles", coords) for coords in DEGENERATE_SWEEP.values()]
     # interval counts are written one block of runs per lo; 150 points on at
     # most 12 values put many points in each group
     cases += [("intervals", random_coords("intervals", n, 40 + n)) for n in (1, 2, 33)]
@@ -575,39 +599,21 @@ def test_sample_counts_matches_bruteforce(monkeypatch):
         for k in range(len(rs)):
             dense[k, rs.members(k)] = 1
         assert np.array_equal(rs.counts, dense.sum(axis=1))
-        # all ones and about n draws mostly take the bit planes, 10**6 the
-        # byte tables; both decompositions are also checked directly
+        # 10**6 takes 20 bit planes; 2^53 + 1 is not exact in float64
+        above_float = np.zeros(n, dtype=np.int64)
+        above_float[0] = 2**53 + 1
         for mult in (
             np.ones(n, dtype=np.int64),
             rng.multinomial(n, np.full(n, 1.0 / n)),
             np.full(n, 10**6),
             rng.integers(0, 10**6 + 1, size=n),
             rng.integers(0, 2, size=n) * 10**6,
+            above_float,
         ):
             want = dense @ mult
             got = rs.sample_counts(mult)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (fam_name, n)
-            if fam_name != "intervals":
-                for decomposition in (rs._plane_counts, rs._table_counts):
-                    got = decomposition(mult)
-                    assert got.dtype == np.int64
-                    assert np.array_equal(got, want), (fam_name, n, decomposition.__name__)
-
-
-def test_sample_counts_picks_the_cheaper_decomposition(monkeypatch):
-    """Bit planes while planes x (words + 1) is at most 1.8 ceil(n/8), byte tables past it."""
-    rs = induced_ranges(family("halfplanes"), GroundSet(random_coords("halfplanes", 128, 5)))
-    calls = []
-    for name in ("_plane_counts", "_table_counts"):
-        method = getattr(rs, name)
-        monkeypatch.setattr(rs, name, lambda mult, name=name, method=method: calls.append(name) or method(mult))
-    # 2 words and 16 bytes a row: up to 9 planes (multiplicity 511) use the planes
-    for top, want in ((1, "_plane_counts"), (511, "_plane_counts"), (512, "_table_counts"), (10**6, "_table_counts")):
-        mult = np.zeros(128, dtype=np.int64)
-        mult[7] = top
-        rs.sample_counts(mult)
-        assert calls.pop() == want, top
 
 
 @pytest.mark.parametrize("fam_name", ["intervals", "halfplanes"])
@@ -645,8 +651,8 @@ def test_sample_counts_accepts_any_integer_dtype():
     st.sampled_from([1, 2, 8, 255, 10**6]),
 )
 def test_packed_rows_match_bool_rows(n, count, seed, top):
-    """Random rows through `_put_rows`: the packed bytes, members and both
-    count decompositions against the bool rows they came from."""
+    """Random rows through `_put_rows`: the packed bytes, members and
+    sample counts against the bool rows they came from."""
     rng = np.random.default_rng(seed)
     rows = rng.random((count, n)) < rng.random()
     words = _new_words(n, count)
@@ -658,8 +664,6 @@ def test_packed_rows_match_bool_rows(n, count, seed, top):
     mult = rng.integers(0, top + 1, size=n)
     want = rows.astype(np.int64) @ mult
     assert np.array_equal(rs.sample_counts(mult), want)
-    assert np.array_equal(rs._plane_counts(mult), want)
-    assert np.array_equal(rs._table_counts(mult), want)
 
 
 def test_collector_keeps_first_witness_in_insertion_order():

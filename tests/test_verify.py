@@ -929,3 +929,36 @@ def test_interval_memory_stays_bounded():
     assert float(peak_mb) < 120.0
     assert counts_cached == "False"
     assert float(scored_growth_mb) < 40.0
+
+
+_RECTANGLE_MEMORY = """
+import resource, sys
+from vcsample.harness import SourceSpec, generate_ground_set
+from vcsample.ranges import EnumerationBudget, family, induced_ranges
+from vcsample.sampling import draw_sample
+from vcsample.verify import verify_eps_approx
+
+unit = 2**20 if sys.platform == "darwin" else 2**10
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+X = generate_ground_set(SourceSpec("uniform", n=80), 2, 1)
+rs = induced_ranges(family("rectangles"), X, EnumerationBudget(rectangles=80))
+assert len(rs) == 390_055
+verify_eps_approx(X, draw_sample(X, 500, 1), 0.1, rs.family, ranges=rs)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit - before)
+"""
+
+
+def test_rectangle_memory_stays_bounded():
+    """In a fresh interpreter, rectangles at their budget, n = 80 (390,055
+    tight boxes), enumerated and verified once: four int32 corners per box
+    and the per-range counts of one eps_approx pass keep the peak RSS within
+    40 MB of the import's."""
+    pytest.importorskip("resource")
+    # started from a small interpreter, as in test_interval_memory_stays_bounded
+    hop = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.run([sys.executable, '-c', {_RECTANGLE_MEMORY!r}]).returncode)"
+    )
+    proc = run_fresh([sys.executable, "-c", hop])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 40.0
