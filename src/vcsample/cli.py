@@ -185,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (BudgetExceededError, CalibrationError, ParameterError,
-            json.JSONDecodeError, OSError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetExceededError) else 2
 

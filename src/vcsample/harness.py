@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, CalibrationError, ParameterError
 from .ranges import (
+    DEFAULT_BUDGET,
     EnumerationBudget,
     GroundSet,
     InducedRangeSet,
@@ -223,6 +224,15 @@ def generate_ground_set(source: SourceSpec, dim: int, seed: int) -> GroundSet:
     return GroundSet(coords)
 
 
+def _range_set(cfg: ExperimentConfig, budget: EnumerationBudget | None) -> InducedRangeSet:
+    """The config's ground set, enumerated. A synthetic source holds exactly
+    n points, so its n meets the budget before any point is generated."""
+    fam = family_by_name(cfg.family)
+    if cfg.source.kind != "file":
+        (budget or DEFAULT_BUDGET).check(fam, cfg.source.n)
+    return induced_ranges(fam, generate_ground_set(cfg.source, fam.ambient_dim, cfg.seed), budget)
+
+
 def sample_size_for(
     prop: str, d: int, eps: float, p: float | None, delta: float, C: float
 ) -> int:
@@ -335,20 +345,20 @@ def run_experiment(
     """Run every grid cell; a blown enumeration budget marks all cells as
     errored instead of aborting the run."""
     fam = family_by_name(cfg.family)
-    X = generate_ground_set(cfg.source, fam.ambient_dim, cfg.seed)
     engine: InducedRangeSet | None = None
     error = None
     try:
-        engine = induced_ranges(fam, X, budget)
+        engine = _range_set(cfg, budget)
+        n = engine.n
     except BudgetExceededError as exc:
-        error = str(exc)
+        error, n = str(exc), exc.n
     cells: list[dict[str, Any]] = []
     walls: list[float] = []
     for cell_index, (eps, p) in enumerate(cfg.cells()):
         t0 = time.perf_counter()
         m = sample_size_for(cfg.property, fam.vc_dimension, eps, p, cfg.delta, cfg.C)
         if cfg.take_all:
-            m = len(X)
+            m = n
         cell: dict[str, Any] = {
             "cell_index": cell_index,
             "property": cfg.property,
@@ -368,7 +378,7 @@ def run_experiment(
         }
         if engine is not None:
             failures, details = _run_cell(
-                cfg, X, engine, cell_index, eps, p, m, cfg.trials
+                cfg, engine.ground, engine, cell_index, eps, p, m, cfg.trials
             )
             margins = [d["worst_margin"] for d in details]
             cell.update(
@@ -413,9 +423,8 @@ def calibrate_constant(
             f"min_trials must lie in [1, {_SEEDS_PER_CELL}), got {min_trials!r}"
         )
     fam = family_by_name(cfg.family)
-    X = generate_ground_set(cfg.source, fam.ambient_dim, cfg.seed)
     # unlike run_experiment, a blown budget aborts calibration outright
-    engine = induced_ranges(fam, X, budget)
+    engine = _range_set(cfg, budget)
     trials = max(cfg.trials, min_trials)
     grid = cfg.cells()
 
@@ -431,7 +440,7 @@ def calibrate_constant(
             for cell_index, (eps, p) in enumerate(grid):
                 m = sample_size_for(cfg.property, fam.vc_dimension, eps, p, cfg.delta, C)
                 failures, _ = _run_cell(
-                    cfg, X, engine, cell_index, eps, p, m, trials, fail_limit
+                    cfg, engine.ground, engine, cell_index, eps, p, m, trials, fail_limit
                 )
                 if failures > fail_limit:
                     good = False

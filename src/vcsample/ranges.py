@@ -232,6 +232,11 @@ class EnumerationBudget:
     def limit_for(self, fam: RangeFamily) -> int:
         return getattr(self, fam.name)
 
+    def check(self, fam: RangeFamily, n: int) -> None:
+        """Raise BudgetExceededError when n points are over fam's cap."""
+        if n > self.limit_for(fam):
+            raise BudgetExceededError(fam.name, n, self.limit_for(fam))
+
 
 DEFAULT_BUDGET = EnumerationBudget()
 
@@ -352,35 +357,24 @@ class _IntervalRangeSet(InducedRangeSet):
         return (float(self.values[lo]), float(self.values[hi]))
 
 
-def _new_words(n: int, rows: int) -> np.ndarray:
-    """Zeroed (ceil(n/64), rows) uint64 storage for `rows` packed rows of n points."""
-    return np.zeros(((n + 63) // 64, rows), dtype=np.uint64)
-
-
-def _put_rows(words: np.ndarray, start: int, packed: np.ndarray) -> None:
-    """Write packed rows, the (k, ceil(n/8)) bytes of `np.packbits(rows,
-    axis=1)`, into columns start..start+k-1 of `words`; the pad bytes of
-    each row's last word stay zero."""
-    k = packed.shape[0]
-    view = words.view(np.uint8).reshape(words.shape[0], words.shape[1], 8)
-    for w in range(words.shape[0]):
-        part = packed[:, 8 * w : 8 * w + 8]
-        view[w, start : start + k, : part.shape[1]] = part
-
-
 class _PackedRangeSet(InducedRangeSet):
-    """Halfplane and disk storage, one witness per row and the rows as
-    `words`, a (W, R) uint64 array with W = ceil(n/64).
+    """Halfplane and disk storage, built from blocks of rows: `packed`, a
+    list of (k, ceil(n/8)) `np.packbits(rows, axis=1)` arrays, and
+    `witnesses`, a list of their (k, w) float64 witnesses. The rows are
+    stacked once into `words`, a (W, R) uint64 array with W = ceil(n/64),
+    and the witnesses into one (R, w) array.
 
-    Column r holds row r's `np.packbits` bytes, padded with zero bytes to
-    8W, in memory order, so point i is bit 7 - i % 8 of byte i // 8 on any
+    Column r holds row r's packed bytes, padded with zero bytes to 8W, in
+    memory order, so point i is bit 7 - i % 8 of byte i // 8 on any
     endianness, and a uint8 view of the words gives back the packed bytes.
     """
 
-    def __init__(self, fam: RangeFamily, ground: GroundSet, words: np.ndarray, witnesses):
+    def __init__(self, fam: RangeFamily, ground: GroundSet, packed: list, witnesses: list):
         super().__init__(fam, ground)
-        self._words = words
-        self._witnesses = witnesses
+        rows = np.zeros((sum(map(len, packed)), 8 * ((self.n + 63) // 64)), dtype=np.uint8)
+        np.concatenate(packed, out=rows[:, : (self.n + 7) // 8])
+        self._words = np.ascontiguousarray(rows.view(np.uint64).T)
+        self._witnesses = np.concatenate(witnesses)
 
     def __len__(self) -> int:
         return self._words.shape[1]
@@ -421,7 +415,7 @@ class _PackedRangeSet(InducedRangeSet):
         return np.flatnonzero(np.unpackbits(row, count=self.n))
 
     def witness(self, k: int) -> tuple[float, ...]:
-        return self._witnesses[k]
+        return tuple(self._witnesses[k].tolist())
 
 
 class _BoxRangeSet(InducedRangeSet):
@@ -482,15 +476,12 @@ def induced_ranges(
     the same construction order. Raises BudgetExceededError when |X| is over
     the family's budget and ParameterError on an ambient-dimension mismatch.
     """
-    budget = budget or DEFAULT_BUDGET
     if ground.dimension != fam.ambient_dim:
         raise ParameterError(
             f"{fam.name} needs points in R^{fam.ambient_dim}, "
             f"got R^{ground.dimension}"
         )
-    limit = budget.limit_for(fam)
-    if len(ground) > limit:
-        raise BudgetExceededError(fam.name, len(ground), limit)
+    (budget or DEFAULT_BUDGET).check(fam, len(ground))
     return fam.build(fam, ground)
 
 
@@ -515,15 +506,18 @@ class _SubsetCollector:
     produce each subset once and need none).
 
     Candidates arrive only as batches: a boolean (k, n) row matrix and its k
-    witnesses, a (k, w) float array or a list of k tuples. Rows are keyed by
-    their packed bits, and the first witness of each distinct subset is kept,
-    as a tuple of Python floats, in insertion order. A batch is deduplicated
-    in one vectorized pass first, so only the first row of each subset in the
-    batch reaches the dict, and only the rows the dict keeps become tuples.
+    witnesses, a (k, w) float array or a list of k tuples. The first witness
+    of each distinct subset is kept, in insertion order. A batch is
+    deduplicated in one vectorized pass first, so only the first row of each
+    subset in the batch is looked up in the set of packed rows kept so far.
+    A batch's new rows and witnesses are kept as one array each; the set
+    lives only during the sweep, and `range_set` drops it.
     """
 
     def __init__(self):
-        self._first: dict[bytes, tuple[float, ...]] = {}
+        self._seen: set[bytes] = set()
+        self._rows: list[np.ndarray] = []
+        self._witnesses: list[np.ndarray] = []
 
     def add_batch(self, rows: np.ndarray, witnesses) -> None:
         if not len(rows):
@@ -532,23 +526,17 @@ class _SubsetCollector:
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         first = np.sort(np.unique(keys, return_index=True)[1])
         keys = keys[first].tolist()
-        new = np.array([k not in self._first for k in keys], dtype=bool)
-        wit = np.asarray(witnesses, dtype=np.float64).reshape(len(rows), -1)[first[new]]
-        self._first.update(zip(itertools.compress(keys, new), map(tuple, wit.tolist())))
+        new = ~np.fromiter(map(self._seen.__contains__, keys), dtype=bool, count=len(keys))
+        self._seen.update(itertools.compress(keys, new))
+        kept = first[new]
+        self._rows.append(packed[kept])
+        self._witnesses.append(np.asarray(witnesses, dtype=np.float64).reshape(len(rows), -1)[kept])
 
     def range_set(self, fam: RangeFamily, ground: GroundSet) -> _PackedRangeSet:
-        # the keys go into the row words a block at a time, never all joined
-        n = len(ground)
-        words = _new_words(n, len(self._first))
-        keys = iter(self._first)
-        for start in range(0, words.shape[1], _COPY_ROWS):
-            block = b"".join(itertools.islice(keys, _COPY_ROWS))
-            _put_rows(words, start, np.frombuffer(block, dtype=np.uint8).reshape(-1, (n + 7) // 8))
-        return _PackedRangeSet(fam, ground, words, list(self._first.values()))
+        del self._seen
+        return _PackedRangeSet(fam, ground, self._rows, self._witnesses)
 
 
-# rows per block copied from the collector's keys into the row words
-_COPY_ROWS = 2**16
 # key entries (directions x points) per block of the halfplane sweep
 _HALFPLANE_KEYS = 2**14
 # centers per chunk of the disk sweep, rounded up to whole bisector lines
@@ -883,7 +871,7 @@ FAMILIES: dict[str, RangeFamily] = {
 
 def read_points_csv(path: str) -> GroundSet:
     """Read a ground set from CSV with header `x` (1-D) or `x,y` (2-D)."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -275,7 +275,7 @@ def read_sample_json(path: str) -> Sample:
 def _load_sample_json(path: str) -> tuple[Sample, np.ndarray | None]:
     """The sample stored at path, and its embedded (m, dim) draw coordinates
     when the file carries them. Any malformed field is a ParameterError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: sample file must hold a JSON object")

@@ -1,5 +1,6 @@
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,3 +40,18 @@ def run_fresh(cmd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_parent, env.get("PYTHONPATH")) if p)
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def run_from_small_interpreter(code):
+    """``run_fresh`` of the Python source ``code``, started from a small
+    interpreter.
+
+    A process keeps, across exec, the peak RSS of the memory image it
+    replaced (this test runner's), so a child that measures its own peak
+    RSS is started from an interpreter that does nothing else.
+    """
+    hop = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.run([sys.executable, '-c', {code!r}]).returncode)"
+    )
+    return run_fresh([sys.executable, "-c", hop])

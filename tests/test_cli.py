@@ -137,6 +137,10 @@ def test_draw_missing_points_file(points_1d, tmp_path, capsys):
     for m, seed in [("3", "-1"), ("0", "1")]:
         _rejected(capsys, ["draw", "--points", points_1d, "--m", m, "--seed", seed,
                            "--out", out])
+    # a points file that is not UTF-8
+    with open(points_1d, "wb") as fh:
+        fh.write(b"x\n1.0\n\xff\n")
+    _rejected(capsys, ["draw", "--points", points_1d, "--m", "3", "--seed", "1", "--out", out])
 
 
 # ---------------------------------------------------------------- verify
@@ -288,9 +292,10 @@ def test_malformed_sample_files(points_1d, tmp_path, capsys):
         {**good, "indices": [0.5] * good["m"]},
         {**good, "schema_version": 2},
         {**good, "points": "none"},
+        b'{"m": "\xff"}',  # not UTF-8
     ):
-        with open(sample, "w") as fh:
-            json.dump(bad, fh)
+        with open(sample, "wb") as fh:
+            fh.write(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
         _rejected(capsys, ["query", "--points-size", "10", "--sample", sample,
                            "--family", "intervals", "--range", "2.5,7.5", "--guarantee", "none"])
         _rejected(capsys, ["verify", "--property", "approx", "--points", points_1d,
@@ -337,6 +342,10 @@ def test_experiment_bad_config(tmp_path, capsys):
     assert main(["experiment", "--config", path]) == 2
     assert main(["experiment", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    with open(path, "wb") as fh:
+        fh.write(b'{"family": "\xff"}')  # not UTF-8
+    _rejected(capsys, ["experiment", "--config", path])
+    _rejected(capsys, ["calibrate", "--config", path, "--target-delta", "0.25"])
     _, good_path = _write_config(tmp_path)
     with open(good_path) as fh:
         good = json.load(fh)
@@ -355,6 +364,21 @@ def test_experiment_bad_config(tmp_path, capsys):
             json.dump(bad, fh)
         _rejected(capsys, ["experiment", "--config", path])
         _rejected(capsys, ["calibrate", "--config", path, "--target-delta", "0.25"])
+
+
+def test_synthetic_source_over_budget_is_not_generated(tmp_path, capsys):
+    """A synthetic source's n meets the budget before any point is drawn:
+    10**30 points could not even be allocated."""
+    _, path = _write_config(tmp_path)
+    with open(path) as fh:
+        doc = {**json.load(fh), "source": {"kind": "uniform", "n": 10**30}}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["experiment", "--config", path]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert cells and all("enumeration budget exceeded" in c["error"] for c in cells)
+    assert main(["calibrate", "--config", path, "--target-delta", "0.25"]) == 3
+    assert capsys.readouterr().err.startswith("error: enumeration budget exceeded")
 
 
 # ------------------------------------------------------------- calibrate

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import random_coords
+from conftest import random_coords, run_from_small_interpreter
 from oracles import SUBSET_ORACLES, growth_bound
 from vcsample.errors import BudgetExceededError, ParameterError
 from vcsample.harness import SourceSpec, generate_ground_set
@@ -25,8 +25,6 @@ from vcsample.ranges import (
     write_points_csv,
     _PackedRangeSet,
     _SubsetCollector,
-    _new_words,
-    _put_rows,
     _stable_order,
 )
 
@@ -378,11 +376,9 @@ def test_rectangle_golden_output(ground_name):
 ])
 def test_sweep_output_independent_of_block_size(monkeypatch, fam_name, ground_name, size):
     """One direction or line per block, a few, and all of them at once give
-    the same rows and witnesses in the same order; so does copying the
-    collected rows into the row words one, a few or all rows at a time."""
+    the same rows and witnesses in the same order."""
     monkeypatch.setattr("vcsample.ranges._HALFPLANE_KEYS", size)
     monkeypatch.setattr("vcsample.ranges._DISK_CENTERS", size)
-    monkeypatch.setattr("vcsample.ranges._COPY_ROWS", size)
     rs = induced_ranges(family(fam_name), _golden_ground(ground_name))
     assert (len(rs), _sweep_digest(rs)) == SWEEP_GOLDEN[(fam_name, ground_name)]
 
@@ -651,13 +647,14 @@ def test_sample_counts_accepts_any_integer_dtype():
     st.sampled_from([1, 2, 8, 255, 10**6]),
 )
 def test_packed_rows_match_bool_rows(n, count, seed, top):
-    """Random rows through `_put_rows`: the packed bytes, members and
-    sample counts against the bool rows they came from."""
+    """Random rows through `_PackedRangeSet`'s row words: the packed bytes,
+    members and sample counts against the bool rows they came from."""
     rng = np.random.default_rng(seed)
     rows = rng.random((count, n)) < rng.random()
-    words = _new_words(n, count)
-    _put_rows(words, 0, np.packbits(rows, axis=1))
-    rs = _PackedRangeSet(family("halfplanes"), GroundSet(np.zeros((n, 2))), words, [None] * count)
+    # two blocks, the second empty when count <= 2
+    packed = [np.packbits(rows[:2], axis=1), np.packbits(rows[2:], axis=1)]
+    witnesses = [np.zeros((count, 3))]
+    rs = _PackedRangeSet(family("halfplanes"), GroundSet(np.zeros((n, 2))), packed, witnesses)
     assert np.array_equal(rs.packed_rows(), np.packbits(rows, axis=1))
     for k in range(count):
         assert np.array_equal(rs.members(k), np.flatnonzero(rows[k]))
@@ -715,6 +712,31 @@ def test_collector_matches_per_row_setdefault(n, batches, as_array):
     for key, w in reference.items():
         assert repr(got[key]) == repr(w)  # signed zeros too
         assert type(got[key]) is tuple and all(type(v) is float for v in got[key])
+
+
+_DISK_MEMORY = """
+import resource, sys
+from vcsample.harness import SourceSpec, generate_ground_set
+from vcsample.ranges import family, induced_ranges
+
+# ru_maxrss is in bytes on macOS and in KiB elsewhere
+unit = 2**20 if sys.platform == "darwin" else 2**10
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+rs = induced_ranges(family("disks"), generate_ground_set(SourceSpec("uniform", n=80), 2, 1))
+assert len(rs) == 85_401
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit - before)
+"""
+
+
+def test_disk_memory_stays_bounded():
+    """In a fresh interpreter, disks uniform n = 80 (85,401 ranges): the
+    collector keeps the rows' packed bytes and the witnesses in arrays, and
+    its key set only during the sweep, so the peak RSS stays within 25 MB of
+    the import's."""
+    pytest.importorskip("resource")
+    proc = run_from_small_interpreter(_DISK_MEMORY)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 25.0
 
 
 @given(

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import logging
 import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import random_coords, run_fresh
+from conftest import random_coords, run_from_small_interpreter
 import vcsample.verify as verify_module
 from vcsample.errors import BudgetExceededError, ParameterError
 from vcsample.harness import SourceSpec, generate_ground_set
@@ -915,14 +914,7 @@ def test_interval_memory_stays_bounded():
     no per-range array is built and peak RSS stays far below the 100 MB
     that a single int64 per range would take."""
     pytest.importorskip("resource")
-    # a process keeps, across exec, the peak RSS of the memory image it
-    # replaced (this test runner's), so the measured child is started from a
-    # small interpreter
-    hop = (
-        "import subprocess, sys\n"
-        f"sys.exit(subprocess.run([sys.executable, '-c', {_INTERVAL_MEMORY!r}]).returncode)"
-    )
-    proc = run_fresh([sys.executable, "-c", hop])
+    proc = run_from_small_interpreter(_INTERVAL_MEMORY)
     assert proc.returncode == 0, proc.stderr
     tie_growth_mb, peak_mb, counts_cached, scored_growth_mb = proc.stdout.split()
     assert float(tie_growth_mb) < 64.0
@@ -954,11 +946,6 @@ def test_rectangle_memory_stays_bounded():
     and the per-range counts of one eps_approx pass keep the peak RSS within
     40 MB of the import's."""
     pytest.importorskip("resource")
-    # started from a small interpreter, as in test_interval_memory_stays_bounded
-    hop = (
-        "import subprocess, sys\n"
-        f"sys.exit(subprocess.run([sys.executable, '-c', {_RECTANGLE_MEMORY!r}]).returncode)"
-    )
-    proc = run_fresh([sys.executable, "-c", hop])
+    proc = run_from_small_interpreter(_RECTANGLE_MEMORY)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 40.0
