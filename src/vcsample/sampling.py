@@ -126,11 +126,21 @@ def meets_deviation_bound(r: float, s: float, nu: float, alpha: float) -> bool:
     return dist_nu(r, s, nu) < alpha
 
 
+def _ceil_size(num: float, den: float, body: float, what: str) -> int:
+    """max(1, ceil((num / den) body)); a product that is not a finite float,
+    such as one whose den underflowed to 0, is a ParameterError."""
+    size = num / den * body if den > 0.0 else math.inf
+    if not math.isfinite(size):
+        raise ParameterError(f"{what} overflows: the parameters are too small")
+    return max(1, math.ceil(size))
+
+
 def sample_size_base(params: SamplingParams) -> int:
     """ceil((C/(alpha^2 nu)) (d ln(1/nu) + ln(1/delta))), at least 1."""
-    lead = params.C / (params.alpha * params.alpha * params.nu)
     body = params.d * math.log(1.0 / params.nu) + math.log(1.0 / params.delta)
-    return max(1, math.ceil(lead * body))
+    return _ceil_size(
+        params.C, params.alpha * params.alpha * params.nu, body, "sample size"
+    )
 
 
 def size_eps_net(eps: float, d: int, delta: float, C: float = 1.0) -> int:
@@ -156,7 +166,7 @@ def size_eps_approx(eps: float, d: int, delta: float, C: float = 1.0) -> int:
 def sensitive_level_count(eps: float) -> int:
     """Number of weight levels the sensitive bound unions over: ceil(800/eps^2)."""
     eps = _check_unit("eps", eps)
-    return math.ceil(800.0 / (eps * eps))
+    return _ceil_size(800.0, eps * eps, 1.0, "sensitive level count")
 
 
 def size_sensitive(eps: float, d: int, delta: float, C: float = 1.0) -> int:
@@ -170,7 +180,7 @@ def size_sensitive(eps: float, d: int, delta: float, C: float = 1.0) -> int:
     d, C = _check_vc_dim(d), _check_constant(C)
     M = sensitive_level_count(eps)
     body = d * math.log(1.0 / eps) + math.log(M / delta)
-    return max(1, math.ceil(C / (eps * eps) * body))
+    return _ceil_size(C, eps * eps, body, "sample size")
 
 
 def size_relative(p: float, eps: float, d: int, delta: float, C: float = 1.0) -> int:
@@ -228,6 +238,9 @@ def draw_sample(X: GroundSet, m: int, seed: int, params: Any = None) -> Sample:
     """
     if not (_is_int(m) and m >= 1):
         raise ParameterError(f"sample size must be an integer >= 1, got {m!r}")
+    # NumPy holds at most 2**63 - 1 bytes in one array, 8 per int64 draw
+    if m >= 2**60:
+        raise ParameterError(f"sample size {m} exceeds the 2**60 - 1 draws one array can hold")
     if not (_is_int(seed) and seed >= 0):
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)

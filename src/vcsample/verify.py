@@ -15,10 +15,11 @@ prefix-sum fast path (`Property.interval_worst`) that bounds per lo the
 margins of its runs from below (exactly the least one for eps_net and
 eps_approx, within a tolerance for the relative-style two, over bands of
 counts for sensitive), so only the lo values that can hold the worst margin
-are scored. Only a relative-style p so small that the per-level arrays would
-outgrow the row scorer scores every run. Counts and float expressions are
-the kernel's, so the reports are bit-identical to the kernel path's. The
-Monte-Carlo harness asks only for the worst margin and skips the tie-break.
+are scored. The relative-style paths go through their levels a block at a
+time; only at a p so small that this would take longer is every run scored.
+Counts and float expressions are the kernel's, so the reports are
+bit-identical to the kernel path's. The Monte-Carlo harness asks only for
+the worst margin and skips the tie-break.
 
 Inequalities carry a relative slack of REL_TOL in favor of passing: true
 weights are exact rationals, so near-ties only arise from rounding on the
@@ -221,31 +222,37 @@ def _relative_kernel(r_cnt, s_cnt, n, m, eps, p):
     return np.minimum(*_relative_clauses(r_cnt, s_cnt, n, m, eps, p))
 
 
-def _ladder(n, eps, p, sensitive):
-    """(thresholds, env_eps, cap_eps, cap_base): envelope band i (from 1),
-    thresholds[i-1] <= r_cnt < thresholds[i] (the last open above), at
-    env_eps[i-1]; cap level j, thresholds[j-2] < r_cnt <= thresholds[j-1], at
-    (1 + cap_eps[j-1]) cap_base[j-1]. Plain relative is one level, and
-    relative_sensitive floor(1/p) levels (i p, eps/sqrt(i)) and one band more."""
-    levels = max(1, int(math.floor(1.0 / p))) if sensitive else 1
-    i = np.arange(1.0, levels + 1 + sensitive)
-    e = eps / np.sqrt(i)
-    return i * (p * n), e, e[:levels], (i * p)[:levels]
+def _levels(p):
+    """floor(1/p): the cap levels of relative_sensitive, one fewer than its
+    envelope bands. Level i has the threshold i p n (thresholds i p n <= r_cnt
+    for envelope band i, the last band open above; (i - 1) p n < r_cnt <= i p n
+    for cap level i), eps/sqrt(i) and the cap (1 + eps/sqrt(i)) i p. Plain
+    relative is one level and one band."""
+    if 1.0 / p == math.inf:
+        raise ParameterError(f"relative_sensitive needs a finite 1/p, got p = {p}")
+    return max(1, math.floor(1.0 / p))
 
 
 def _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p):
-    thresholds, env_eps, cap_eps, cap_base = _ladder(n, eps, p, True)
+    levels, pn = float(_levels(p)), p * n
+    # q per count c = 0..n, the only values r_cnt takes, gathered below: the
+    # largest i with i pn <= c, from the quotient and one step each way on
+    # the thresholds' own products
+    c = np.arange(n + 1.0)
+    q = np.floor(c / pn)
+    q += (q + 1.0) * pn <= c
+    q -= q * pn > c
+    # binding envelope band q, none below 1 and the last at levels + 1;
+    # binding cap level, the least i >= 1 with c <= i pn, none past levels
+    band = np.minimum(q, levels + 1.0)
+    level = np.where((q >= 1.0) & (q * pn == c), q, q + 1.0)
     r, s = r_cnt / n, s_cnt / m
-
-    # binding envelope band, from 1: largest i with r_cnt >= thresholds[i-1],
-    # 0 on light ranges (no envelope); binding cap level, from 0: smallest j
-    # with r_cnt <= thresholds[j], 0 on light ranges (plain clause (ii)); both
-    # found once per count 0..n, the only values r_cnt takes, and gathered
-    i = np.searchsorted(thresholds, np.arange(n + 1), side="right")[r_cnt]
-    j = np.searchsorted(thresholds, np.arange(n + 1), side="left")[r_cnt]
-    env = np.where(i >= 1, _envelope(r, s, np.take(env_eps, i - 1, mode="clip")), math.inf)
-    cap = _cap(s, np.take(cap_eps, j, mode="clip"), np.take(cap_base, j, mode="clip"))
-    return np.minimum(env, np.where(j < cap_eps.shape[0], cap, math.inf))
+    env = _envelope(r, s, (eps / np.sqrt(np.maximum(band, 1.0)))[r_cnt])
+    cap = _cap(s, (eps / np.sqrt(level))[r_cnt], (level * p)[r_cnt])
+    return np.minimum(
+        np.where(band[r_cnt] >= 1.0, env, math.inf),
+        np.where(level[r_cnt] <= levels, cap, math.inf),
+    )
 
 
 # Interval fast paths, from the per-group prefix sums `cum` (ground) and P
@@ -339,17 +346,22 @@ def _interval_approx_worst(engine, P, n, m, eps, p, ties):
 # these differences (a few ulp of values at most 2), so best - _TOL bounds
 # each lo's margins from below and best.min() + _TOL the worst from above.
 _TOL = 1e-12
-# The one deferral, to the row scorer over every run: the per-level arrays,
-# float64 min tables included, take about 200-220 bytes per (level, lo)
-# entry, the row scorer under 10 MB in all, and the two break even at about
-# 2.5 ranges per entry at n = 500, 5.5 at n = 2000 and 8 at n = 5000
-# (in-process medians, m = 2000, eps = 0.1, shared 2-core Xeon). At n = 5000,
-# p = 1/300 (8.3 ranges per entry), fresh processes: 0.43-0.53 s and 288 MB
-# of growth against 0.42-0.53 s and 8 MB; at p = 1/156.5, 785,157 entries,
-# 162 MB. So the fast path defers past an eighth of the range count or
-# _LEVEL_CAP, about 165 MB, but not within _LEVEL_FLOOR (14 MB).
-_LEVEL_CAP = 3 << 18
+# The one deferral, to the row scorer over every run, is a time rule. The
+# fast path works through its (band, lo) entries about _BLOCK at a time, so
+# its memory is bounded at any p, but its time grows with the entries as the
+# row scorer's grows with the ranges. At 5000 values (m = 2000, eps = 0.1,
+# in-process medians, shared 2-core Xeon) 5 ranges per entry took 0.17 s
+# against the row scorer's 0.24 s, and 2.5 ranges per entry 0.33 s against
+# 0.25 s. So the fast path defers past an eighth of the range count, but not
+# within _LEVEL_FLOOR entries.
 _LEVEL_FLOOR = 1 << 16
+
+
+def _run_ends(cum, first, counts):
+    """ends[j, lo]: the first end whose run from lo counts at least
+    counts[j], k + 1 where none does; first[c] is that end from group 0, for
+    c = 0..n + 1."""
+    return first[np.minimum(cum[:-1] + counts[:, None], cum[-1] + 1)]
 
 
 def _min_tables(V, depth):
@@ -364,54 +376,74 @@ def _min_tables(V, depth):
     return tables
 
 
-def _interval_relative_style(engine, P, n, m, ties, margins, ladder):
-    """The shared fast path over a `_ladder`; margins(r_cnt, s_cnt) is the kernel."""
-    thresholds, env_eps, cap_eps, cap_base = ladder
+def _interval_relative_style(engine, P, n, m, eps, p, ties, margins, levels, bands):
+    """The shared fast path over the ladder's first `bands` envelope bands and
+    `levels` cap levels (`_levels`); margins(r_cnt, s_cnt) is the kernel."""
     cum = engine._cum
     k = cum.shape[0] - 1
-    if thresholds.shape[0] * (k + 1) > max(_LEVEL_FLOOR, min(_LEVEL_CAP, len(engine) // 8)):
+    if bands * (k + 1) > max(_LEVEL_FLOOR, len(engine) // 8):
         return None
 
-    # cap level j: E[j-1, lo] ends the longest run from lo within its count
-    # limit, and the level's own runs from lo end in (prev, E]
-    limit = np.floor(thresholds[: cap_eps.shape[0]])
-    E = np.searchsorted(cum, cum[:-1] + limit[:, None], side="right") - 1
-    prev = np.vstack([np.arange(k), E[:-1]])
-    top = _cap(0.0, cap_eps, cap_base)
-    best = np.where(E > prev, top[:, None] - (P[E] - P[:-1]) / m, math.inf).min(axis=0)
-
-    # envelope band i: G[i-1, lo] is the first end whose run from lo reaches
-    # it; rows of V are the A values of every band, then the B values
+    first = np.searchsorted(cum, np.arange(n + 2))
     s_w, r_w = P / m, cum / n
-    V = np.concatenate([
-        s_w - ((1.0 - env_eps) * _DOWN)[:, None] * r_w,
-        ((1.0 + env_eps) * _UP)[:, None] * r_w - s_w,
-    ])
-    G = np.searchsorted(cum, cum[:-1] + np.ceil(thresholds)[:, None], side="left")
-    G = np.vstack([G, np.full(k, k + 1)])
-    a, b = np.tile(G[:-1], (2, 1)), np.tile(G[1:], (2, 1))
-    row, at = np.nonzero(a < b)
-    a, b = a[row, at], b[row, at]
-    tables = _min_tables(V, int((b - a).max(initial=1)).bit_length() - 1)
-    # the least of V[row] in [a, b): two overlapping power-of-two windows
-    t = np.frexp(b - a)[1] - 1
-    side = np.full((V.shape[0], k), math.inf)
-    side[row, at] = np.minimum(tables[t, row, a], tables[t, row, b - (1 << t)]) - V[row, at]
-    best = np.minimum(best, side.min(axis=0))
+    best = np.full(k, math.inf)
+    # the previous cap level's E, the empty run below level 1
+    prev = np.arange(k)[None]
+    step = max(1, _BLOCK // k)
+    for start in range(1, bands + 1, step):
+        stop = min(start + step, bands + 1)
+        # levels start..stop, the last one only ending the block's last band
+        i = np.arange(float(start), float(stop + 1))
+        thresholds, e = i * (p * n), eps / np.sqrt(i)
+
+        # cap level j: E[j - start, lo] ends the longest run from lo within
+        # its count limit, and the level's own runs from lo end in (prev, E]
+        caps = min(stop, levels + 1) - start
+        if caps:
+            limit = np.floor(thresholds[:caps]).astype(np.int64)
+            E = _run_ends(cum, first, limit + 1) - 1
+            top = _cap(0.0, e[:caps], (i * p)[:caps])
+            cap = np.where(
+                E > np.vstack([prev, E[:-1]]), top[:, None] - (P[E] - P[:-1]) / m, math.inf
+            )
+            best = np.minimum(best, cap.min(axis=0))
+            prev = E[-1:]
+
+        # envelope band i: G[i - start, lo] is the first end whose run from
+        # lo reaches it, the last band open above; rows of V are the A values
+        # of the block's bands, then the B values
+        counts = np.ceil(thresholds).astype(np.int64)
+        if stop > bands:
+            counts[-1] = n + 1
+        G = _run_ends(cum, first, counts)
+        e = e[:-1]  # the block's bands
+        V = np.concatenate([
+            s_w - ((1.0 - e) * _DOWN)[:, None] * r_w,
+            ((1.0 + e) * _UP)[:, None] * r_w - s_w,
+        ])
+        a, b = np.tile(G[:-1], (2, 1)), np.tile(G[1:], (2, 1))
+        row, at = np.nonzero(a < b)
+        a, b = a[row, at], b[row, at]
+        tables = _min_tables(V, int((b - a).max(initial=1)).bit_length() - 1)
+        # the least of V[row] in [a, b): two overlapping power-of-two windows
+        t = np.frexp(b - a)[1] - 1
+        side = np.full((V.shape[0], k), math.inf)
+        side[row, at] = np.minimum(tables[t, row, a], tables[t, row, b - (1 << t)]) - V[row, at]
+        best = np.minimum(best, side.min(axis=0))
     return _score_rows(engine, P, ties, margins, best - _TOL, best.min() + _TOL)
 
 
 def _interval_relative_worst(engine, P, n, m, eps, p, ties):
     return _interval_relative_style(
-        engine, P, n, m, ties, lambda r, s: _relative_kernel(r, s, n, m, eps, p),
-        _ladder(n, eps, p, False),
+        engine, P, n, m, eps, p, ties, lambda r, s: _relative_kernel(r, s, n, m, eps, p), 1, 1
     )
 
 
 def _interval_relative_sensitive_worst(engine, P, n, m, eps, p, ties):
+    levels = _levels(p)
     return _interval_relative_style(
-        engine, P, n, m, ties, lambda r, s: _relative_sensitive_margins(r, s, n, m, eps, p),
-        _ladder(n, eps, p, True),
+        engine, P, n, m, eps, p, ties,
+        lambda r, s: _relative_sensitive_margins(r, s, n, m, eps, p), levels, levels + 1,
     )
 
 
@@ -444,7 +476,7 @@ def _interval_sensitive_worst(engine, P, n, m, eps, p, ties):
     # about _BLOCK (band, lo) entries at a time
     step = max(1, _BLOCK // k)
     for j in range(0, _BANDS, step):
-        G = first[np.minimum(cum[:-1] + edges[j : j + step + 1, None], n + 1)]
+        G = _run_ends(cum, first, edges[j : j + step + 1])
         a, b = G[:-1], G[1:]
         width = np.maximum(b - a, 1)
         t = np.frexp(width)[1].astype(np.int64) - 1
@@ -478,8 +510,8 @@ class Property:
     the kernel's arguments, with the per-group sample prefix sums P in
     place of the counts; p is None for the properties that do not take it.
     It returns the worst margin and the tied range ids (None unless ties),
-    or None to have every run scored, as the relative-style level guard
-    does at a small p; every property here has one."""
+    or None to have every run scored, as the relative-style fast paths do
+    at a p so small that this is faster; every property here has one."""
 
     name: str
     aliases: tuple[str, ...]

@@ -101,6 +101,19 @@ def test_size_relative_needs_p(capsys):
     assert capsys.readouterr().out == "348493\n"
 
 
+@pytest.mark.parametrize("argv", [
+    # alpha^2 underflows to 0
+    ["--property", "approx", "--eps", "1e-200"],
+    ["--property", "sensitive", "--eps", "1e-170"],
+    # the size, or the sensitive level count, overflows a float
+    ["--property", "sensitive", "--eps", "1e-160"],
+    ["--property", "eps_net", "--eps", "1e-320"],
+    ["--property", "relative", "--eps", "0.3", "--p", "1e-320"],
+])
+def test_size_overflow_rejected(argv, capsys):
+    assert "overflows" in _rejected(capsys, ["size", *argv, "--d", "2", "--delta", "0.1"])
+
+
 def test_size_constant_scales(capsys):
     main(["size", "--property", "approx", "--eps", "0.1", "--d", "2", "--delta", "0.1", "--C", "0.5"])
     half = int(capsys.readouterr().out)
@@ -134,7 +147,8 @@ def test_draw_missing_points_file(points_1d, tmp_path, capsys):
                  "--seed", "1", "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
     # bad --m or --seed: exit 2 with one error line, not NumPy's ValueError
-    for m, seed in [("3", "-1"), ("0", "1")]:
+    # m past what one int64 array can hold
+    for m, seed in [("3", "-1"), ("0", "1"), (str(10**20), "1"), (str(2**60), "1")]:
         _rejected(capsys, ["draw", "--points", points_1d, "--m", m, "--seed", seed,
                            "--out", out])
     # a points file that is not UTF-8
@@ -177,6 +191,19 @@ def test_verify_relative_needs_p(points_1d, tmp_path, capsys):
     assert main(["verify", "--property", "relative", "--points", points_1d,
                  "--sample", sample, "--family", "intervals", "--eps", "0.3",
                  "--p", "0.2"]) == 0
+
+
+def test_verify_relative_sensitive_tiny_p(points_1d, tmp_path, capsys):
+    # p = 1e-300 is about 10**300 levels: a report, not a traceback
+    sample = str(tmp_path / "s.json")
+    write_sample_json(sample, _fixed_sample([2, 7], 10))
+    argv = ["verify", "--property", "relative-sensitive", "--points", points_1d,
+            "--sample", sample, "--family", "intervals", "--eps", "0.3"]
+    assert main([*argv, "--p", "1e-300"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["property"] == "relative_sensitive" and report["ranges_checked"] == 56
+    # a p whose 1/p overflows a float leaves no level count
+    assert "finite 1/p" in _rejected(capsys, [*argv, "--p", "1e-310"])
 
 
 def test_verify_missing_eps(points_1d, tmp_path, capsys):
@@ -352,6 +379,7 @@ def test_experiment_bad_config(tmp_path, capsys):
     for bad in (
         [good],
         {**good, "grid": {"eps": "0.2"}},
+        {**good, "grid": {"eps": 0.3}},
         {**good, "seed": 1.5},
         {**good, "seed": -1},
         {**good, "trials": True},
@@ -364,6 +392,11 @@ def test_experiment_bad_config(tmp_path, capsys):
             json.dump(bad, fh)
         _rejected(capsys, ["experiment", "--config", path])
         _rejected(capsys, ["calibrate", "--config", path, "--target-delta", "0.25"])
+    # C = 1e30 sizes a sample past what one int64 array can hold; calibrate
+    # searches C itself
+    with open(path, "w") as fh:
+        json.dump({**good, "C": 1e30}, fh)
+    assert "2**60" in _rejected(capsys, ["experiment", "--config", path])
 
 
 def test_synthetic_source_over_budget_is_not_generated(tmp_path, capsys):

@@ -64,6 +64,8 @@ def test_ground_set_validation():
     with pytest.raises(ParameterError):
         GroundSet(np.zeros((3, 3)))
     with pytest.raises(ParameterError):
+        GroundSet(np.zeros((3, 2, 1)))
+    with pytest.raises(ParameterError):
         GroundSet(np.array([[0.0, np.nan]]))
     with pytest.raises(ParameterError):
         GroundSet(np.array([np.inf]))
@@ -819,6 +821,10 @@ def test_points_csv_roundtrip(tmp_path):
         write_points_csv(path, g)
         back = read_points_csv(path)
         assert np.array_equal(back.coords, g.coords)  # repr round-trips floats
+    # blank lines and rows of empty cells are skipped
+    path = tmp_path / "blank.csv"
+    path.write_text("x,y\n1,2\n\n,\n3,4\n")
+    assert np.array_equal(read_points_csv(str(path)).coords, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_points_csv_errors(tmp_path):

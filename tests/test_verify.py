@@ -26,6 +26,7 @@ from vcsample.sampling import Sample, draw_sample
 from vcsample.verify import (
     PROPERTIES,
     REL_TOL,
+    VerificationReport,
     _net_margins,
     _relative_kernel,
     _relative_sensitive_margins,
@@ -283,13 +284,15 @@ def test_worst_range_tiebreak_against_bruteforce(fam_name, n, m, eps, p):
         assert most_tied >= 20  # the tie-break had real work to do
 
 
-@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.3, 0.7, 1 / 7])
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.3, 0.7, 1 / 7, 1e-4])
 def test_relative_sensitive_levels_against_reference(p):
     # every r_cnt from 0 to n, at n where i*p*n lands on integers (20, 60,
     # 140, 420) and where it does not, against a scan over every level; the
-    # plain relative and eps-net kernels against their per-range references
+    # plain relative and eps-net kernels against their per-range references.
+    # At p = 1e-4 the scan takes 10**4 levels per count, so n stops at 21,
+    # where p*n < 1 puts every count in a band of its own
     rng = np.random.default_rng(int(p * 1e6))
-    for n in (1, 3, 7, 10, 20, 21, 60, 100, 140, 420):
+    for n in (1, 3, 7, 10, 20, 21, 60, 100, 140, 420)[: 6 if p < 0.01 else None]:
         for _ in range(5):
             m = int(rng.integers(1, 3 * n + 2))
             eps = float(rng.choice([0.05, 0.2, 0.5, 0.9]))
@@ -310,21 +313,36 @@ def test_relative_sensitive_levels_against_reference(p):
 def test_count_table_kernels_match_closed_forms():
     # the sensitive allowance and the binding relative-sensitive levels are
     # found once per count 0..n and gathered by r_cnt; shuffled counts hold
-    # 0, n and every multiple of p n = i, each next to random ones
+    # 0, n and every multiple of p n = i, each next to random ones, and at
+    # p = 1e-4 (10**4 levels, p n below 1) 0, n and random ones
     rng = np.random.default_rng(15)
     for n in (1, 2, 7, 30, 61, 200):
-        for i in sorted({1, 2, n // 3, n - 1, n} - {0}):
+        for i in [*sorted({1, 2, n // 3, n - 1, n} - {0}), None]:
             m = int(rng.integers(1, 3 * n + 2))
             eps = float(rng.choice([0.05, 0.3, 0.9]))
+            p, multiples = (1e-4, []) if i is None else (i / n, np.arange(0, n + 1, i))
             r_cnt = rng.permutation(
-                np.concatenate([np.arange(0, n + 1, i), [0, n], rng.integers(0, n + 1, 40)])
-            )
+                np.concatenate([multiples, [0, n], rng.integers(0, n + 1, 40)])
+            ).astype(np.int64)
             s_cnt = rng.integers(0, m + 1, r_cnt.shape[0])
             got = _sensitive_margins(r_cnt, s_cnt, n, m, eps, None)
             assert np.array_equal(got, oracles.sensitive_margins(r_cnt, s_cnt, n, m, eps))
-            got = _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, i / n)
-            want = oracles.relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, i / n)
-            assert np.array_equal(got, want), (n, i, m, eps)
+            got = _relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p)
+            want = oracles.relative_sensitive_margins(r_cnt, s_cnt, n, m, eps, p)
+            assert np.array_equal(got, want), (n, p, m, eps)
+
+
+@pytest.mark.parametrize("fam_name,n", [("intervals", 30), ("halfplanes", 12)])
+def test_relative_sensitive_at_a_tiny_p(fam_name, n):
+    # at p = 1e-300 every nonempty range sits about 10**299 levels up, where
+    # eps/sqrt(i) all but vanishes: the worst margin is within REL_TOL of
+    # minus the largest deviation |r - s|, and the empty range's cap holds
+    X = GroundSet(random_coords(fam_name, n, 3))
+    N = draw_sample(X, 20, 1)
+    rep = verify_property("relative_sensitive", X, N, 0.3, 1e-300, fam_name)
+    dev = 0.3 * _UP - verify_eps_approx(X, N, 0.3, fam_name).worst_margin
+    assert dev > 0.0 and abs(rep.worst_margin + dev) <= 2 * REL_TOL
+    assert not rep.passed and rep.worst_range.members
 
 
 # ------------------------------------------------------------ N = X passes
@@ -389,6 +407,11 @@ def test_parameter_validation():
         verify_relative(X, N, 0.5, 1.2, "intervals")
     with pytest.raises(ParameterError):
         verify_relative_sensitive(X, N, -0.1, 0.5, "intervals")
+    # a p whose 1/p overflows leaves relative_sensitive no level count
+    with pytest.raises(ParameterError, match="finite 1/p"):
+        verify_relative_sensitive(X, N, 1e-310, 0.5, "intervals")
+    with pytest.raises(ParameterError, match="unknown property"):
+        VerificationReport("eps-net", True, 0.0, None, 1)
 
 
 def test_implication_checks_validate_before_enumerating(monkeypatch):
@@ -759,26 +782,20 @@ def test_interval_relative_large_tie_matches_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "k, p, level_cap, defers",
+    "k, p, defers",
     [
         # below 2**16 entries the guard never defers: about 10**5 levels of
         # floor(1/p) + 1 over 11 lo entries pass it, while 5 x 41 entries
-        # stay within it though they pass both a cap of 0 and an eighth of
-        # the 821 ranges (102)
-        (10, 1e-5, None, True),
-        (40, 0.25, 0, False),
+        # stay within it though they pass an eighth of the 821 ranges (102)
+        (10, 1e-5, True),
+        (40, 0.25, False),
         # 1100 values, 605,551 ranges: 68 x 1101 entries (74,868) stay within
         # an eighth of the ranges (75,693), 69 x 1101 (75,969) pass it
-        (1100, 1 / 67.5, None, False),
-        (1100, 1 / 68.5, None, True),
-        # a cap below an eighth of the ranges binds instead
-        (1100, 1 / 67.5, 74_868, False),
-        (1100, 1 / 67.5, 74_867, True),
+        (1100, 1 / 67.5, False),
+        (1100, 1 / 68.5, True),
     ],
 )
-def test_interval_relative_level_guard_defers_to_kernel(k, p, level_cap, defers, monkeypatch):
-    if level_cap is not None:
-        monkeypatch.setattr("vcsample.verify._LEVEL_CAP", level_cap)
+def test_interval_relative_level_guard_defers_to_kernel(k, p, defers):
     X = GroundSet(np.arange(float(k)))
     rs = induced_ranges(family("intervals"), X)
     N = _sample(list(range(0, k, 3)) * 2, k)
@@ -789,6 +806,23 @@ def test_interval_relative_level_guard_defers_to_kernel(k, p, level_cap, defers,
     fast = verify_property("relative_sensitive", X, N, 0.3, p, "intervals", ranges=rs)
     assert fast.to_json_dict() == kernel.to_json_dict()
     assert _worst_margin(prop, rs, N, 0.3, p, False) == (worst, None)
+
+
+def test_interval_relative_sensitive_many_levels_in_blocks():
+    """At 4000 values and p = 1/220 the 221 x 4001 (band, lo) entries stay
+    within an eighth of the 8,002,001 ranges, so the fast path runs, a few
+    bands at a time, and finds the worst margin and ties of scoring every
+    run."""
+    X = GroundSet(np.arange(4000.0))
+    rs = induced_ranges(family("intervals"), X)
+    N = draw_sample(X, 3000, 25)
+    prop = PROPERTIES["relative_sensitive"]
+    P = rs.sample_prefix(N.multiplicities())
+    found = prop.interval_worst(rs, P, 4000, N.m, 0.3, 1 / 220, True)
+    assert found is not None
+    every_run = dataclasses.replace(prop, interval_worst=None)
+    worst, tied = _worst_margin(every_run, rs, N, 0.3, 1 / 220, True)
+    assert found[0] == worst and np.array_equal(found[1], tied)
 
 
 def test_interval_sensitive_scores_few_runs(monkeypatch):
@@ -887,6 +921,9 @@ for rep in (verify_eps_net(X, N, 0.05, rs.family, ranges=rs),
             verify_sensitive(X, M, 0.3, rs.family, ranges=rs),
             verify_relative(X, M, 0.1, 0.3, rs.family, ranges=rs),
             verify_relative_sensitive(X, M, 0.1, 0.3, rs.family, ranges=rs),
+            # 251 x 5001 per-level entries, within an eighth of the range
+            # count: the fast path, a few bands at a time
+            verify_relative_sensitive(X, M, 1 / 250, 0.3, rs.family, ranges=rs),
             # 1001 x 5001 per-level entries: the level guard defers
             verify_relative_sensitive(X, M, 0.001, 0.3, rs.family, ranges=rs)):
     assert rep.ranges_checked == 5000 * 5001 // 2 + 1
@@ -908,7 +945,8 @@ def test_interval_memory_stays_bounded():
     relative_sensitive on 2000 values, whose 1.5M scored runs go through the
     kernel in blocks, so the peak grows by less than 64 MB. Then intervals
     at the default budget, n = 5000 (12.5M ranges), verified for every
-    property and for a relative_sensitive p the level guard defers, then
+    property, for a relative_sensitive p of 251 levels that the fast path
+    takes a few bands at a time and for one the level guard defers, then
     through both implication checks with a passing premise: the row scorer
     reads only per-value arrays and scores about _BLOCK runs at a time, so
     no per-range array is built and peak RSS stays far below the 100 MB
